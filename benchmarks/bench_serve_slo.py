@@ -123,7 +123,7 @@ def _staged_p99(metrics, tenant: str) -> dict:
     (quantized to bucket bounds; informational)."""
     return {
         labels["stage"]: hist.percentile(0.99)
-        for labels, hist in metrics.samples("cluster_latency_seconds")
+        for labels, hist in metrics.samples("serve_latency_seconds")
         if labels.get("tenant") == tenant and hist.count
     }
 

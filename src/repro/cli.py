@@ -20,14 +20,15 @@ Subcommands mirror the library's experiment drivers:
   incremental partition repair path and check the repaired graph
   bit-for-bit against a from-scratch rebuild; ``--smoke`` runs the
   pinned equivalence-gate matrix (the CI dynamic gate).
-- ``serve`` — run a seeded query workload through the batched traversal
-  service (bounded queue, batching window, result cache); ``--validate``
-  checks every response bit-for-bit against a sequential run.
-  ``--tenants`` switches to the multi-tenant cluster plane: N replicas
-  serve M resident tenant graphs behind a weighted-fair router with
-  per-tenant quotas and SLOs, driven by a seeded diurnal workload;
-  ``--smoke`` runs the pinned slo-smoke gate (validation plus a mid-run
-  replica kill drill).
+- ``serve`` — run a seeded query workload through the serving core
+  (per-tenant bounded queues, batching window, result cache, replicas);
+  ``--validate`` checks every response bit-for-bit against a sequential
+  run.  Without ``--tenants`` the graph is one tenant on one replica
+  driven by closed-loop clients; ``--tenants`` serves M resident tenant
+  graphs from N replicas behind a weighted-fair router with per-tenant
+  quotas and SLOs, driven by a seeded diurnal workload; ``--smoke`` runs
+  the pinned slo-smoke gate (validation plus a mid-run replica kill
+  drill).
 - ``bench-serve`` — the serving benchmark: the deterministic
   amortization sweep (batched vs sequential simulated cost per query)
   plus an end-to-end wall-clock service sweep.
@@ -98,17 +99,24 @@ def _damping_arg(value: str) -> float:
     return out
 
 
-def _workers_arg(value: str) -> int:
-    """Parse a positive worker count for ``--workers``."""
-    try:
-        out = int(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {value!r}"
-        ) from exc
-    if out < 1:
-        raise argparse.ArgumentTypeError(f"workers must be >= 1, got {value!r}")
-    return out
+def _positive_int(name: str):
+    """An argparse ``type`` parsing an integer ``name`` that must be >= 1
+    (``--workers``, ``--replicas``, ``--quota``)."""
+
+    def parse(value: str) -> int:
+        try:
+            out = int(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {value!r}"
+            ) from exc
+        if out < 1:
+            raise argparse.ArgumentTypeError(
+                f"{name} must be >= 1, got {value!r}"
+            )
+        return out
+
+    return parse
 
 
 def _slo_arg(value: str):
@@ -132,34 +140,6 @@ def _tenants_arg(value: str) -> str:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
     return value
-
-
-def _replicas_arg(value: str) -> int:
-    """Parse a positive replica count for ``--replicas``."""
-    try:
-        out = int(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {value!r}"
-        ) from exc
-    if out < 1:
-        raise argparse.ArgumentTypeError(
-            f"replicas must be >= 1, got {value!r}"
-        )
-    return out
-
-
-def _quota_arg(value: str) -> int:
-    """Parse a positive per-tenant admission quota for ``--quota``."""
-    try:
-        out = int(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {value!r}"
-        ) from exc
-    if out < 1:
-        raise argparse.ArgumentTypeError(f"quota must be >= 1, got {value!r}")
-    return out
 
 
 def _faults_arg(value: str):
@@ -226,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(bit-identical results)",
     )
     backend_p.add_argument(
-        "--workers", type=_workers_arg, default=1, metavar="N",
+        "--workers", type=_positive_int("workers"), default=1, metavar="N",
         help="body worker processes for --backend shmem (>= 1)",
     )
 
@@ -344,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--batch-size", type=int, default=64,
                        help="roots per batch (flush threshold, max 64)")
     serve.add_argument("--queue-depth", type=int, default=256,
-                       help="admission-control queue bound")
+                       help="admission-control queue bound (the single "
+                            "graph's tenant quota)")
     serve.add_argument("--batch-window", type=float, default=0.005,
                        metavar="SECONDS", help="batching window deadline")
     serve.add_argument("--hot-fraction", type=float, default=0.5,
@@ -362,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fail unless the cache hit rate reaches this "
                             "(the CI smoke gates > 0 on repeats)")
     serve.add_argument("--out", metavar="PATH", default=None,
-                       help="write the serve.* RunReport JSON artifact")
+                       help="write the session's JSON summary (per-tenant "
+                            "counters, workload report, SLOs, replicas)")
     serve.add_argument("--trace", metavar="PATH", default=None,
                        help="write the session's Chrome trace (wall clock; "
                             "per-request and per-worker tracks)")
@@ -378,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--slo", type=_slo_arg, action="append", default=None,
                        metavar="SPEC",
                        help="SLO spec stage:threshold:objective[:window], "
-                            "repeatable (default with telemetry on: "
-                            "total:0.25:0.99)")
+                            "repeatable; replaces every tenant's class SLOs "
+                            "(a single graph defaults to total:0.25:0.99)")
     serve.add_argument("--straggler-ms", type=float, default=None,
                        metavar="MS",
                        help="wall-clock straggler injection: every batch "
@@ -396,11 +378,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "name:class list (search:gold,feed:silver); "
                             "classes gold|silver|bronze set quota, weight "
                             "and SLOs; each tenant serves its own seeded "
-                            "graph behind the cluster router")
-    serve.add_argument("--replicas", type=_replicas_arg, default=2,
+                            "graph behind the cluster router (without it, "
+                            "the graph is one tenant on one replica)")
+    serve.add_argument("--replicas", type=_positive_int("replicas"), default=2,
                        metavar="N",
                        help="service replicas in multi-tenant mode (>= 1)")
-    serve.add_argument("--quota", type=_quota_arg, default=None, metavar="N",
+    serve.add_argument("--quota", type=_positive_int("quota"), default=None, metavar="N",
                        help="override every tenant's admission quota "
                             "(default: the SLO class quota)")
     serve.add_argument("--duration", type=_positive_float_arg, default=0.5,
@@ -457,17 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     ocs.add_argument("--mib", type=int, default=32, help="stream size in MiB")
     ocs.add_argument("--seed", type=int, default=1)
 
-    sssp_p = sub.add_parser(
-        "sssp", parents=[common], help="weighted SSSP (Graph500 kernel 2b)"
-    )
-    sssp_p.add_argument("--root", type=int, default=None)
-    sssp_p.add_argument(
-        "--algorithm",
-        choices=("delta-stepping", "bellman-ford"),
-        default="delta-stepping",
-    )
-    sssp_p.add_argument("--delta", type=_positive_float_arg, default=None)
-
     algo = sub.add_parser(
         "algo", parents=[common, resil, backend_p],
         help="run a registered vertex program (sssp, pagerank, cc, ...)",
@@ -518,14 +490,20 @@ def _write_trace(tracer, path) -> bool:
     return True
 
 
-def _cmd_graph500(args) -> int:
-    from repro.runtime.backends import create_backend
+def _with_backend(impl):
+    """A command running ``impl(args, backend)`` on the ``--backend`` /
+    ``--workers`` execution backend, which it always closes."""
 
-    backend = create_backend(args.backend, workers=args.workers)
-    try:
-        return _cmd_graph500_impl(args, backend)
-    finally:
-        backend.close()
+    def command(args) -> int:
+        from repro.runtime.backends import create_backend
+
+        backend = create_backend(args.backend, workers=args.workers)
+        try:
+            return impl(args, backend)
+        finally:
+            backend.close()
+
+    return command
 
 
 def _cmd_graph500_impl(args, backend) -> int:
@@ -564,16 +542,6 @@ def _cmd_graph500_impl(args, backend) -> int:
         )
     wrote = _write_trace(tracer, args.trace) if tracer is not None else True
     return 0 if report.validated and wrote else 1
-
-
-def _cmd_bfs(args) -> int:
-    from repro.runtime.backends import create_backend
-
-    backend = create_backend(args.backend, workers=args.workers)
-    try:
-        return _cmd_bfs_impl(args, backend)
-    finally:
-        backend.close()
 
 
 def _cmd_bfs_impl(args, backend) -> int:
@@ -786,53 +754,6 @@ def _cmd_ocs(args) -> int:
     ))
     print(f"6-CG utilization: {100 * six.bandwidth_utilization():.1f}%")
     return 0
-
-
-def _cmd_sssp(args) -> int:
-    from repro.analysis.experiments import build_setup, tuned_thresholds
-    from repro.analysis.reporting import format_seconds
-    from repro.core import partition_graph
-    from repro.core import delta_stepping_sssp, generate_weights, sssp
-
-    rows, cols = args.mesh
-    setup = build_setup(args.scale, rows, cols, seed=args.seed)
-    e_thr, h_thr = args.e_threshold, args.h_threshold
-    if e_thr is None or h_thr is None:
-        e_thr, h_thr = tuned_thresholds(args.scale)
-    part = partition_graph(
-        setup.src, setup.dst, setup.num_vertices, setup.mesh,
-        e_threshold=e_thr, h_threshold=h_thr,
-    )
-    weights = generate_weights(setup.src.size, seed=args.seed + 1)
-    root = args.root if args.root is not None else setup.root
-    if args.algorithm == "delta-stepping":
-        res = delta_stepping_sssp(
-            part, root, weights, setup.src, setup.dst,
-            delta=args.delta, machine=setup.machine,
-        )
-        print(f"delta = {res.delta:.4g}; {res.num_buckets} buckets, "
-              f"{res.num_phases} phases")
-    else:
-        res = sssp(
-            part, root, weights, edge_src=setup.src, edge_dst=setup.dst,
-            machine=setup.machine,
-        )
-        print(f"{res.num_iterations} Bellman-Ford rounds")
-    reached = int(np.count_nonzero(np.isfinite(res.distance)))
-    print(f"reached {reached:,}/{setup.num_vertices:,} vertices; "
-          f"{res.relaxations:,} relaxations; "
-          f"simulated {format_seconds(res.total_seconds)}")
-    return 0
-
-
-def _cmd_algo(args) -> int:
-    from repro.runtime.backends import create_backend
-
-    backend = create_backend(args.backend, workers=args.workers)
-    try:
-        return _cmd_algo_impl(args, backend)
-    finally:
-        backend.close()
 
 
 def _cmd_algo_impl(args, backend) -> int:
@@ -1170,16 +1091,6 @@ def _cmd_chaos(args) -> int:
     return 0 if all_ok else 1
 
 
-def _cmd_serve(args) -> int:
-    from repro.runtime.backends import create_backend
-
-    backend = create_backend(args.backend, workers=args.workers)
-    try:
-        return _cmd_serve_impl(args, backend)
-    finally:
-        backend.close()
-
-
 class _StragglerEngine:
     """Wraps a batch engine so every traversal sleeps ``delay`` wall
     seconds first.  Simulated faults never move the wall clock, so this
@@ -1199,17 +1110,22 @@ class _StragglerEngine:
         return self._engine.run_batch(roots, **kwargs)
 
 
-def _cmd_serve_cluster(args, backend) -> int:
+def _cmd_serve_impl(args, backend) -> int:
     from dataclasses import replace
 
     from repro.analysis.reporting import ascii_table, format_seconds
-    from repro.cluster import (
-        build_registry,
-        parse_tenant_spec,
-        run_cluster_session,
-    )
+    from repro.cluster import TenantSpec, build_registry, parse_tenant_spec
+    from repro.obs.export import write_chrome_trace
     from repro.obs.metrics import MetricsRegistry
-    from repro.serve.workload import make_diurnal_workload
+    from repro.obs.tracer import NULL_TRACER, Tracer
+    from repro.serve.service import DEFAULT_TENANT, ClusterService
+    from repro.serve.workload import (
+        make_diurnal_workload,
+        make_workload_roots,
+        run_cluster_workload,
+        run_session,
+        run_workload,
+    )
 
     rows, cols = args.mesh
     scale, seed = args.scale, args.seed
@@ -1227,57 +1143,111 @@ def _cmd_serve_cluster(args, backend) -> int:
         validate = True
         if tenants_spec is None:
             tenants_spec = "3"
-    specs = parse_tenant_spec(
-        tenants_spec, scale=scale, rows=rows, cols=cols, seed=seed
-    )
+    multi = tenants_spec is not None
+    if multi:
+        specs = parse_tenant_spec(
+            tenants_spec, scale=scale, rows=rows, cols=cols, seed=seed
+        )
+        replicas = args.replicas
+    else:
+        # One graph is one tenant on one replica: its quota is the queue
+        # depth and its default SLO the gold class's (total < 250 ms for
+        # 99% of requests).
+        specs = [TenantSpec(
+            DEFAULT_TENANT, scale=scale, rows=rows, cols=cols, seed=seed,
+            slo_class="gold", quota=args.queue_depth,
+        )]
+        replicas = 1
+    overrides = {}
     if args.quota is not None:
-        specs = [replace(s, quota=args.quota) for s in specs]
+        overrides["quota"] = args.quota
+    if args.slo:
+        overrides["slos"] = tuple(args.slo)
+    specs = [
+        replace(s, e_threshold=args.e_threshold,
+                h_threshold=args.h_threshold, **overrides)
+        for s in specs
+    ]
     metrics = MetricsRegistry()
-    registry = build_registry(specs, backend=backend)
-    workload = make_diurnal_workload(
-        registry.degrees_map(), queries, seed=seed,
-        duration_seconds=duration,
-        hot_fraction=hot_fraction, hot_set_size=hot_set,
+    tracer = Tracer() if args.trace else NULL_TRACER
+    registry = build_registry(
+        specs, backend=backend, tracer=tracer, metrics=metrics
     )
-    kill_at = None
-    if args.smoke and args.replicas >= 2:
-        kill_at = ("r0", queries // 2)
+    if args.straggler_ms is not None:
+        for tenant in registry:
+            tenant.batched = _StragglerEngine(
+                tenant.batched, args.straggler_ms / 1e3
+            )
+    faults = None
+    if args.faults is not None:
+        from repro.resilience.faults import FaultInjector
+
+        faults = FaultInjector(args.faults, rng=np.random.default_rng(seed))
+
+    if multi:
+        workload = make_diurnal_workload(
+            registry.degrees_map(), queries, seed=seed,
+            duration_seconds=duration,
+            hot_fraction=hot_fraction, hot_set_size=hot_set,
+        )
+        wanted = {
+            t.tenant_id: {q.root for q in workload.queries
+                          if q.tenant == t.tenant_id}
+            for t in registry
+        }
+        shape = f"{queries} queries over a {duration:g}s diurnal workload"
+    else:
+        roots = make_workload_roots(
+            registry[DEFAULT_TENANT].degrees, queries, seed=seed,
+            hot_fraction=hot_fraction, hot_set_size=hot_set,
+        )
+        wanted = {DEFAULT_TENANT: {int(r) for r in roots}}
+        shape = f"{queries} queries from {args.clients} closed-loop clients"
     expected = None
     if validate:
-        expected = {}
-        for tenant in registry:
-            mine = sorted(
-                {q.root for q in workload.queries
-                 if q.tenant == tenant.tenant_id}
+        expected = {
+            tid: {r: registry[tid].sequential.run(r).parent
+                  for r in sorted(mine)}
+            for tid, mine in wanted.items()
+        }
+    kill_at = None
+    if args.smoke and replicas >= 2:
+        kill_at = ("r0", queries // 2)
+
+    def drive(service):
+        if multi:
+            return run_cluster_workload(
+                service, workload, expected=expected,
+                max_shed_retries=10_000, kill_at=kill_at,
             )
-            expected[tenant.tenant_id] = {
-                r: tenant.sequential.run(r).parent for r in mine
-            }
+        return run_workload(
+            service, roots, clients=args.clients, tenant=DEFAULT_TENANT,
+            expected=None if expected is None else expected[DEFAULT_TENANT],
+        )
+
     telemetry = None
     if args.telemetry_port is not None:
         telemetry = dict(
             port=args.telemetry_port, interval=args.telemetry_interval
         )
-    session = run_cluster_session(
-        registry, workload,
-        replicas=args.replicas, expected=expected,
-        max_shed_retries=10_000, kill_at=kill_at, telemetry=telemetry,
-        batch_size=args.batch_size, batch_window=args.batch_window,
-        metrics=metrics,
+    session = run_session(
+        lambda: ClusterService(
+            registry, replicas=replicas, batch_size=args.batch_size,
+            batch_window=args.batch_window, faults=faults, metrics=metrics,
+            tracer=tracer,
+        ),
+        drive, telemetry=telemetry, metrics=metrics,
     )
-    if telemetry is None:
-        report, cluster = session
-        telem = None
-    else:
-        report, cluster, telem = session
+    report, service = session[:2]
+    telem = session[2] if telemetry is not None else None
+    slo_docs = telem.slo if telem is not None else service.slo_status()
+
     per_tenant = report.per_tenant()
-    slo_docs = cluster.slo_status()
     table_rows = []
     for tenant in registry:
         tid = tenant.tenant_id
         sub = per_tenant.get(tid)
         stats = tenant.stats
-        slo_state = slo_docs.get(tid, {}).get("status", "ok")
         table_rows.append([
             tid, tenant.spec.slo_class,
             sub.num_queries if sub else 0,
@@ -1287,25 +1257,34 @@ def _cmd_serve_cluster(args, backend) -> int:
             f"{100 * stats.cache_hit_rate:.0f}%",
             format_seconds(stats.p50_seconds),
             format_seconds(stats.p99_seconds),
-            slo_state,
+            slo_docs[tid]["status"],
         ])
     print(ascii_table(
         ("tenant", "class", "queries", "served", "sheds", "failed",
          "hit rate", "p50", "p99", "slo"),
         table_rows,
-        title=f"cluster serving: {len(registry)} tenants x "
-              f"{args.replicas} replicas (SCALE {scale}, {rows}x{cols} "
-              f"per tenant), {queries} queries over {duration:g}s "
-              f"diurnal workload:",
+        title=f"serving {len(registry)} tenant(s) x {replicas} "
+              f"replica(s) (SCALE {scale}, {rows}x{cols} per tenant), "
+              f"{shape}; batch<={args.batch_size}, window "
+              f"{args.batch_window * 1e3:g} ms:",
     ))
-    print(f"aggregate: {report.served} served "
-          f"({report.cache_hits} cached), {report.typed_sheds} typed "
-          f"sheds, {report.failed} failed, "
-          f"{report.num_queries - report.accounted} silently dropped; "
-          f"{cluster.stats.batches} batches, "
-          f"{cluster.stats.replays} failover replays; "
-          f"replicas live: {len(cluster.live_replicas)}/"
-          f"{len(cluster.replica_ids)}")
+    stats = service.stats
+    checked = ""
+    if expected is not None:
+        checked = (f"; wrong parents {report.wrong_parents}/"
+                   f"{report.validated} validated")
+    print(f"aggregate: {report.served}/{report.num_queries} served "
+          f"({report.cache_hits} cached, "
+          f"{100 * report.cache_hit_rate:.0f}% hit rate), "
+          f"{report.typed_sheds} typed sheds, {report.shed_retries} shed "
+          f"retries, {report.failed} failed; {stats.batches} batches, "
+          f"{stats.mean_batch_size:.1f} mean lanes, {stats.replays} batch "
+          f"replays; p50 {format_seconds(stats.p50_seconds)}, p99 "
+          f"{format_seconds(stats.p99_seconds)}, "
+          f"{stats.sim_seconds_per_query:.3e} sim s/query{checked}")
+    print(f"replicas live: {len(service.live_replicas)}/"
+          f"{len(service.replica_ids)}")
+
     ok = True
     if report.accounted != report.num_queries:
         print(f"FAIL: {report.num_queries - report.accounted} queries "
@@ -1322,7 +1301,7 @@ def _cmd_serve_cluster(args, backend) -> int:
         print(f"validated: {report.validated} responses bit-identical to "
               "sequential runs")
     if kill_at is not None:
-        downs = len(cluster.replica_ids) - len(cluster.live_replicas)
+        downs = len(service.replica_ids) - len(service.live_replicas)
         if downs != 1:
             print(f"FAIL: kill drill expected exactly 1 replica down, "
                   f"found {downs}")
@@ -1338,10 +1317,37 @@ def _cmd_serve_cluster(args, backend) -> int:
     if telem is not None:
         print(f"telemetry: port {telem.port}, {telem.samples} samples, "
               f"scrapes {telem.scrapes}")
+        for tid, doc in slo_docs.items():
+            for row in doc["slos"]:
+                print(f"  SLO {tid} {row['name']}: {row['status']} "
+                      f"(burn {row['burn_rate']:.2f}, "
+                      f"{row['bad']}/{row['observed']} bad in "
+                      f"{row['window_seconds']:g}s)")
+            for alert in doc["alerts"]:
+                print(f"  alert {tid} [{alert['severity']}] "
+                      f"{alert['message']}")
         if not telem.scrapes.get("/metrics") \
                 or not telem.scrapes.get("/healthz"):
             print("FAIL: telemetry endpoint was never scraped successfully")
             ok = False
+        if args.expect_slo is not None:
+            fired = any(
+                doc["status"] != "ok" or doc["alerts"]
+                for doc in slo_docs.values()
+            )
+            if args.expect_slo == "green" and fired:
+                print("FAIL: expected green SLOs, got "
+                      f"{ {t: d['status'] for t, d in slo_docs.items()} }")
+                ok = False
+            elif args.expect_slo == "fired" and not fired:
+                print("FAIL: expected the SLO to fire, but it stayed green")
+                ok = False
+    elif args.expect_slo is not None:
+        print("FAIL: --expect-slo requires --telemetry-port")
+        ok = False
+    if args.trace:
+        n = write_chrome_trace(tracer, args.trace, clock="wall")
+        print(f"chrome trace: {args.trace} ({n} events, wall clock)")
     if args.out:
         import json
         from pathlib import Path
@@ -1349,40 +1355,27 @@ def _cmd_serve_cluster(args, backend) -> int:
         doc = {
             "config": {
                 "scale": scale, "mesh": f"{rows}x{cols}", "seed": seed,
-                "replicas": args.replicas, "queries": queries,
-                "duration_seconds": duration,
+                "replicas": replicas, "queries": queries,
+                "batch_size": args.batch_size,
+                "batch_window": args.batch_window,
+                "duration_seconds": duration if multi else None,
+                "clients": None if multi else args.clients,
                 "tenants": {t.tenant_id: t.spec.slo_class for t in registry},
             },
-            "tenants": {
-                tid: {
-                    "slo_class": self_doc["slo_class"],
-                    "requests": self_doc["requests"],
-                    "completed": self_doc["completed"],
-                    "cache_hits": self_doc["cache_hits"],
-                    "shed": self_doc["shed"],
-                    "failed": self_doc["failed"],
-                    "p50_seconds": self_doc["p50_seconds"],
-                    "p99_seconds": self_doc["p99_seconds"],
-                }
-                for tid, self_doc in
-                cluster.tenants_snapshot()["tenants"].items()
-            },
+            "tenants": service.tenants_snapshot()["tenants"],
             "report": {
-                "num_queries": report.num_queries,
-                "served": report.served,
-                "cache_hits": report.cache_hits,
-                "typed_sheds": report.typed_sheds,
-                "failed": report.failed,
-                "accounted": report.accounted,
-                "validated": report.validated,
-                "wrong_parents": report.wrong_parents,
+                key: getattr(report, key)
+                for key in ("num_queries", "served", "cache_hits",
+                            "typed_sheds", "failed", "accounted",
+                            "validated", "wrong_parents")
+            } | {
                 "p50_seconds": report.latency_percentile(50),
                 "p99_seconds": report.latency_percentile(99),
             },
             "slo": slo_docs,
             "replicas": {
-                rid: rid in cluster.live_replicas
-                for rid in cluster.replica_ids
+                rid: rid in service.live_replicas
+                for rid in service.replica_ids
             },
             "gate_passed": ok,
         }
@@ -1392,152 +1385,6 @@ def _cmd_serve_cluster(args, backend) -> int:
         print(f"wrote {out}")
     print("cluster gate:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
-
-
-def _cmd_serve_impl(args, backend) -> int:
-    if args.tenants is not None or args.smoke:
-        return _cmd_serve_cluster(args, backend)
-    from repro.analysis.reporting import ascii_table, format_seconds
-    from repro.obs.export import write_chrome_trace
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.report import report_from_serve
-    from repro.obs.slo import SLOSpec
-    from repro.obs.tracer import NULL_TRACER, Tracer
-    from repro.serve.bench import build_serving_pair
-    from repro.serve.workload import make_workload_roots, run_serving_session
-
-    rows, cols = args.mesh
-    metrics = MetricsRegistry()
-    tracer = Tracer() if args.trace else NULL_TRACER
-    sequential, batched = build_serving_pair(
-        args.scale, rows, cols, seed=args.seed,
-        e_threshold=args.e_threshold, h_threshold=args.h_threshold,
-        backend=backend, tracer=tracer, metrics=metrics,
-    )
-    roots = make_workload_roots(
-        batched.part.degrees, args.queries, seed=args.seed,
-        hot_fraction=args.hot_fraction, hot_set_size=args.hot_set,
-    )
-    expected = None
-    if args.validate:
-        expected = {
-            int(r): sequential.run(int(r)).parent for r in np.unique(roots)
-        }
-    faults = None
-    if args.faults is not None:
-        from repro.resilience.faults import FaultInjector
-
-        faults = FaultInjector(
-            args.faults, rng=np.random.default_rng(args.seed)
-        )
-    engine = batched
-    if args.straggler_ms is not None:
-        engine = _StragglerEngine(batched, args.straggler_ms / 1e3)
-    telemetry = None
-    if args.telemetry_port is not None:
-        slos = args.slo if args.slo else [SLOSpec("total", 0.25, 0.99)]
-        telemetry = dict(
-            port=args.telemetry_port, interval=args.telemetry_interval,
-            slos=slos,
-        )
-    session = run_serving_session(
-        engine, roots,
-        clients=args.clients, expected=expected,
-        batch_size=args.batch_size, queue_depth=args.queue_depth,
-        batch_window=args.batch_window, faults=faults, metrics=metrics,
-        tracer=tracer, telemetry=telemetry,
-    )
-    if telemetry is None:
-        report, service = session
-        telem = None
-    else:
-        report, service, telem = session
-    stats = service.stats
-    table_rows = [
-        ("queries", report.num_queries),
-        ("served", report.served),
-        ("cache hits", f"{report.cache_hits} "
-                       f"({100 * report.cache_hit_rate:.0f}%)"),
-        ("shed retries", report.shed_retries),
-        ("failed", report.failed),
-        ("batches", stats.batches),
-        ("mean batch size", f"{stats.mean_batch_size:.1f}"),
-        ("batch replays", stats.replays),
-        ("p50 latency", format_seconds(stats.p50_seconds)),
-        ("p99 latency", format_seconds(stats.p99_seconds)),
-        ("sim seconds/query", f"{stats.sim_seconds_per_query:.3e}"),
-    ]
-    if expected is not None:
-        table_rows.append(
-            ("wrong parents",
-             f"{report.wrong_parents}/{report.validated} validated")
-        )
-    print(ascii_table(
-        ("stat", "value"), table_rows,
-        title=f"serving SCALE {args.scale} on {rows}x{cols}: "
-              f"batch<={args.batch_size}, queue<={args.queue_depth}, "
-              f"window {args.batch_window * 1e3:g} ms",
-    ))
-    if args.out:
-        run_report = report_from_serve(
-            service, report,
-            context=dict(
-                scale=args.scale, rows=rows, cols=cols, seed=args.seed,
-                queries=args.queries, clients=args.clients,
-                hot_fraction=args.hot_fraction, hot_set=args.hot_set,
-            ),
-        )
-        print(f"run report: {run_report.save(args.out)}")
-    if args.trace:
-        n = write_chrome_trace(tracer, args.trace, clock="wall")
-        print(f"chrome trace: {args.trace} ({n} events, wall clock)")
-    ok = report.failed == 0 and report.wrong_parents == 0
-    if ok and report.served != report.num_queries:
-        print(f"FAIL: {report.num_queries - report.served} queries dropped")
-        ok = False
-    if ok and args.min_hit_rate is not None \
-            and not report.cache_hit_rate > args.min_hit_rate:
-        print(f"FAIL: cache hit rate {report.cache_hit_rate:.3f} "
-              f"not above {args.min_hit_rate:g}")
-        ok = False
-    if telem is not None:
-        print(f"telemetry: port {telem.port}, {telem.samples} samples, "
-              f"scrapes {telem.scrapes}")
-        if telem.slo is not None:
-            for row in telem.slo["slos"]:
-                print(f"  SLO {row['name']}: {row['status']} "
-                      f"(burn {row['burn_rate']:.2f}, "
-                      f"{row['bad']}/{row['observed']} bad in "
-                      f"{row['window_seconds']:g}s)")
-            for alert in telem.slo["alerts"]:
-                print(f"  alert [{alert['severity']}] {alert['message']}")
-        if not telem.scrapes.get("/metrics") \
-                or not telem.scrapes.get("/healthz"):
-            print("FAIL: telemetry endpoint was never scraped successfully")
-            ok = False
-        if args.expect_slo is not None:
-            status = (telem.slo or {}).get("status", "ok")
-            fired = status != "ok" or bool((telem.slo or {}).get("alerts"))
-            if args.expect_slo == "green" and fired:
-                print(f"FAIL: expected green SLO, got status {status!r}")
-                ok = False
-            elif args.expect_slo == "fired" and not fired:
-                print("FAIL: expected the SLO to fire, but it stayed green")
-                ok = False
-    elif args.expect_slo is not None:
-        print("FAIL: --expect-slo requires --telemetry-port")
-        ok = False
-    return 0 if ok else 1
-
-
-def _cmd_bench_serve(args) -> int:
-    from repro.runtime.backends import create_backend
-
-    backend = create_backend(args.backend, workers=args.workers)
-    try:
-        return _cmd_bench_serve_impl(args, backend)
-    finally:
-        backend.close()
 
 
 def _cmd_bench_serve_impl(args, backend) -> int:
@@ -1617,19 +1464,18 @@ def _cmd_bench_serve_impl(args, backend) -> int:
 
 
 _COMMANDS = {
-    "graph500": _cmd_graph500,
-    "bfs": _cmd_bfs,
+    "graph500": _with_backend(_cmd_graph500_impl),
+    "bfs": _with_backend(_cmd_bfs_impl),
     "sweep": _cmd_sweep,
     "partitions": _cmd_partitions,
     "report": _cmd_report,
     "compare": _cmd_compare,
     "ocs": _cmd_ocs,
-    "sssp": _cmd_sssp,
-    "algo": _cmd_algo,
+    "algo": _with_backend(_cmd_algo_impl),
     "chaos": _cmd_chaos,
     "mutate": _cmd_mutate,
-    "serve": _cmd_serve,
-    "bench-serve": _cmd_bench_serve,
+    "serve": _with_backend(_cmd_serve_impl),
+    "bench-serve": _with_backend(_cmd_bench_serve_impl),
 }
 
 

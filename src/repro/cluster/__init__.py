@@ -5,12 +5,15 @@ The "millions of users" leg of the roadmap: M resident tenant graphs
 weighted-fair deficit-round-robin router (:mod:`~repro.cluster.router`),
 with per-tenant admission quotas, per-tenant SLO burn-rate monitoring,
 typed shed/fail/failover surfaces, and bit-identical re-routing of a
-down replica's in-flight batches (:mod:`~repro.cluster.service`).
+down replica's in-flight batches.  The service itself is the one serving
+core in :mod:`repro.serve.service` (re-exported by
+:mod:`~repro.cluster.service`); a single graph is one tenant on one
+replica.
 Open-loop diurnal workloads drive it (:mod:`~repro.cluster.workload`).
 """
 
 from .router import ClusterRouter, QueueFull
-from .service import ClusterIngestReport, ClusterService, ReplicaDown
+from .service import ClusterService, IngestReport, ReplicaDown
 from .tenants import (
     SLO_CLASSES,
     Tenant,
@@ -24,9 +27,9 @@ from .workload import run_cluster_session, run_cluster_workload
 
 __all__ = [
     "SLO_CLASSES",
-    "ClusterIngestReport",
     "ClusterRouter",
     "ClusterService",
+    "IngestReport",
     "QueueFull",
     "ReplicaDown",
     "Tenant",

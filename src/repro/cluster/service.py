@@ -1,685 +1,13 @@
-"""The sharded multi-tenant serving plane.
+"""The multi-tenant service names, re-exported from the one serving core.
 
-A :class:`ClusterService` serves M resident tenant graphs from N
-service *replicas*.  Admission is per tenant: a request enters its
-tenant's bounded queue (quota exhaustion sheds with a typed, fully
-attributed :class:`~repro.serve.service.Overloaded`), the
-:class:`~repro.cluster.router.ClusterRouter` picks which tenant's batch
-runs next under deficit round-robin, and each replica executes one
-MSBFS batch at a time — packed from exactly one tenant, so lanes never
-mix graphs and every lane's parent tree stays bit-identical to a
-sequential run on that tenant's graph.
-
-Failover reuses the batch-replay machinery: a replica that takes a
-:class:`~repro.resilience.faults.RankCrashError` (or is killed via
-:meth:`ClusterService.kill_replica` mid-batch) is marked down, its
-in-flight batch is re-queued at the **front** of the owning tenant's
-queue with submit times and trace ids intact, and a surviving replica
-re-runs it — the re-routed batch's parents are bit-identical to a
-crash-free run.  Requests whose batch crashed more than ``max_replays``
-times fail with a typed :class:`~repro.serve.service.TraversalError`;
-when no live replica remains, queued and incoming requests fail with a
-typed :class:`ReplicaDown`.  Every transition is metered:
-``cluster_failovers{replica=...}`` counts detections and
-``cluster_replicas_live`` tracks capacity.
-
-Per-tenant metric families carry a ``tenant`` label —
-``cluster_requests{tenant,outcome}``,
-``cluster_latency_seconds{tenant,stage}``,
-``cluster_batches{tenant,outcome}``, ``cluster_queue_depth{tenant}`` —
-and one :class:`~repro.obs.slo.SLOMonitor` per tenant (``match={"tenant":
-...}``) evaluates that tenant's class SLOs over its own staged latency
-histograms.
+:class:`ClusterService` — M tenant graphs served by N replicas behind the
+weighted-fair :class:`~repro.cluster.router.ClusterRouter`, with typed
+shedding, failover and per-tenant SLOs — is implemented in
+:mod:`repro.serve.service`; a single-graph
+:class:`~repro.serve.service.TraversalService` is the same class with one
+tenant on one replica.
 """
 
-from __future__ import annotations
+from repro.serve.service import ClusterService, IngestReport, ReplicaDown
 
-import asyncio
-import functools
-import time
-from collections import OrderedDict
-
-import numpy as np
-
-from repro.obs.metrics import NULL_METRICS
-from repro.obs.slo import SLOMonitor
-from repro.resilience.faults import RankCrashError
-from repro.serve.service import (
-    LATENCY_BUCKETS,
-    Overloaded,
-    RequestTimeline,
-    ServeStats,
-    TraversalError,
-    TraversalResponse,
-    _Request,
-)
-
-from .router import ClusterRouter
-from .tenants import Tenant, TenantRegistry
-
-__all__ = ["ClusterService", "ReplicaDown", "ClusterIngestReport"]
-
-
-class ReplicaDown(RuntimeError):
-    """No live replica remains to serve the request (typed, attributed)."""
-
-    def __init__(
-        self, *, tenant: str = "", trace_id: str = "", replicas: int = 0
-    ) -> None:
-        detail = ""
-        if tenant:
-            detail += f" tenant={tenant}"
-        if trace_id:
-            detail += f" trace={trace_id}"
-        super().__init__(
-            f"no live service replica ({replicas} configured)"
-            + (f" [{detail.strip()}]" if detail else "")
-        )
-        self.tenant = tenant
-        self.trace_id = trace_id
-        self.replicas = replicas
-
-
-class ClusterIngestReport:
-    """Outcome of one per-tenant :meth:`ClusterService.ingest_updates`."""
-
-    def __init__(self, tenant: str, reports, *, num_updates: int,
-                 cache_evicted: int, cache_rekeyed: int,
-                 old_fingerprint: str, new_fingerprint: str) -> None:
-        self.tenant = tenant
-        self.reports = list(reports)
-        self.num_batches = len(self.reports)
-        self.num_updates = num_updates
-        self.cache_evicted = cache_evicted
-        self.cache_rekeyed = cache_rekeyed
-        self.old_fingerprint = old_fingerprint
-        self.new_fingerprint = new_fingerprint
-
-
-class _Replica:
-    __slots__ = ("replica_id", "down", "kill_requested", "task", "batches")
-
-    def __init__(self, replica_id: str) -> None:
-        self.replica_id = replica_id
-        self.down = False
-        #: Set by kill_replica(); honored at the next batch boundary —
-        #: if a batch is in flight its results are discarded and the
-        #: batch re-routed, which is exactly the mid-batch crash drill.
-        self.kill_requested = False
-        self.task: asyncio.Task | None = None
-        self.batches = 0
-
-
-class ClusterService:
-    """Serve M tenant graphs from N replicas with weighted fairness."""
-
-    def __init__(
-        self,
-        registry: TenantRegistry,
-        *,
-        replicas: int = 2,
-        batch_size: int = 64,
-        batch_window: float = 0.002,
-        max_replays: int = 2,
-        faults=None,
-        metrics=NULL_METRICS,
-        clock=time.monotonic,
-        timeline_capacity: int = 2048,
-    ) -> None:
-        from repro.serve.msbfs import MAX_BATCH_ROOTS
-
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        if not 1 <= batch_size <= MAX_BATCH_ROOTS:
-            raise ValueError(f"batch_size must be in [1, {MAX_BATCH_ROOTS}]")
-        if batch_window < 0:
-            raise ValueError("batch_window must be >= 0")
-        self.registry = registry
-        self.router = ClusterRouter(registry, batch_size=batch_size)
-        self.batch_size = int(batch_size)
-        self.batch_window = float(batch_window)
-        self.max_replays = int(max_replays)
-        self._faults = faults
-        self._metrics = metrics
-        self._clock = clock
-        self._replicas: dict[str, _Replica] = {
-            f"r{i}": _Replica(f"r{i}") for i in range(int(replicas))
-        }
-        self._wake = asyncio.Event()
-        self._closed = True
-        self._trace_seq = 0
-        self._timeline_capacity = int(timeline_capacity)
-        self._timelines: "OrderedDict[str, RequestTimeline]" = OrderedDict()
-        #: Cluster-aggregate counters (per-tenant counters live on the
-        #: Tenant objects); both are updated on the serving path so the
-        #: telemetry /healthz view and per-tenant views reconcile.
-        self.stats = ServeStats()
-        self._inflight = 0
-        self._ingest_lock = asyncio.Lock()
-        #: One burn-rate monitor per tenant, narrowed to that tenant's
-        #: label on the shared latency family.
-        self.slo_monitors: dict[str, SLOMonitor] = {
-            tenant.tenant_id: SLOMonitor(
-                metrics,
-                tenant.spec.resolved_slos,
-                metric="cluster_latency_seconds",
-                match={"tenant": tenant.tenant_id},
-                clock=clock,
-            )
-            for tenant in registry
-        }
-        self._metrics.gauge("cluster_replicas_live").set(len(self._replicas))
-        self._metrics.gauge("cluster_tenants").set(len(registry))
-
-    # ------------------------------------------------------------------
-    # introspection (TelemetryServer-compatible surface)
-    # ------------------------------------------------------------------
-
-    @property
-    def pending(self) -> int:
-        return self.router.pending + self._inflight
-
-    @property
-    def replica_ids(self) -> list[str]:
-        return list(self._replicas)
-
-    @property
-    def live_replicas(self) -> list[str]:
-        return [r.replica_id for r in self._replicas.values() if not r.down]
-
-    def request_timeline(self, trace_id: str) -> RequestTimeline | None:
-        return self._timelines.get(trace_id)
-
-    def tenant_stats(self, tenant_id: str) -> ServeStats:
-        return self.registry[tenant_id].stats
-
-    def slo_status(self) -> dict:
-        """Per-tenant SLO evaluation documents (the /slo/<tenant> view)."""
-        return {
-            tid: monitor.evaluate()
-            for tid, monitor in self.slo_monitors.items()
-        }
-
-    def tenants_snapshot(self) -> dict:
-        """The /tenants telemetry document: per-tenant queue + counters."""
-        queues = self.router.snapshot()
-        doc = {}
-        for tenant in self.registry:
-            tid = tenant.tenant_id
-            stats = tenant.stats
-            doc[tid] = {
-                **queues[tid],
-                "slo_class": tenant.spec.slo_class,
-                "fingerprint": tenant.fingerprint,
-                "num_vertices": tenant.num_vertices,
-                "requests": stats.requests,
-                "completed": stats.completed,
-                "cache_hits": stats.cache_hits,
-                "shed": stats.shed,
-                "failed": stats.failed,
-                "p50_seconds": stats.p50_seconds,
-                "p99_seconds": stats.p99_seconds,
-            }
-        return {
-            "tenants": doc,
-            "replicas": {
-                rid: {"down": rep.down, "batches": rep.batches}
-                for rid, rep in self._replicas.items()
-            },
-            "pending": self.pending,
-        }
-
-    def _next_trace_id(self) -> str:
-        self._trace_seq += 1
-        return f"req-{self._trace_seq:06d}"
-
-    def _record_timeline(self, timeline: RequestTimeline) -> None:
-        self._timelines[timeline.trace_id] = timeline
-        while len(self._timelines) > self._timeline_capacity:
-            self._timelines.popitem(last=False)
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-
-    async def start(self) -> None:
-        if any(r.task is not None for r in self._replicas.values()):
-            raise RuntimeError("cluster already started")
-        self._closed = False
-        self._wake = asyncio.Event()
-        for replica in self._replicas.values():
-            replica.task = asyncio.create_task(self._replica_loop(replica))
-
-    async def stop(self) -> None:
-        """Drain every tenant queue on surviving replicas, then stop."""
-        self._closed = True
-        self._wake.set()
-        for replica in self._replicas.values():
-            if replica.task is not None:
-                await replica.task
-                replica.task = None
-        # Anything still queued had no live replica to drain it.
-        for tenant_id, request in self.router.drain():
-            self._fail_request(
-                request,
-                self.registry[tenant_id],
-                ReplicaDown(
-                    tenant=tenant_id,
-                    trace_id=request.trace_id,
-                    replicas=len(self._replicas),
-                ),
-            )
-
-    async def __aenter__(self) -> "ClusterService":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc) -> None:
-        await self.stop()
-
-    def kill_replica(self, replica_id: str) -> None:
-        """Take one replica down (failure drill / test hook).
-
-        Takes effect at the replica's next batch boundary: an in-flight
-        batch's results are discarded and the batch re-routed through
-        the normal failover path, so a mid-batch kill exercises
-        detection → re-queue → re-route on a surviving replica.
-        """
-        replica = self._replicas.get(replica_id)
-        if replica is None:
-            raise KeyError(
-                f"unknown replica {replica_id!r} "
-                f"(configured: {', '.join(self._replicas)})"
-            )
-        replica.kill_requested = True
-        self._wake.set()
-
-    # ------------------------------------------------------------------
-    # admission
-    # ------------------------------------------------------------------
-
-    async def submit(self, tenant_id: str, root: int) -> TraversalResponse:
-        """Serve one BFS query against one tenant's resident graph.
-
-        Raises :class:`~repro.serve.service.Overloaded` when the
-        tenant's admission quota is exhausted,
-        :class:`~repro.serve.service.TraversalError` when the query's
-        batch exhausted its replay budget, and :class:`ReplicaDown` when
-        no live replica remains.
-        """
-        if self._closed:
-            raise RuntimeError("cluster is not running")
-        tenant = self.registry[tenant_id]
-        root = int(root)
-        if not 0 <= root < tenant.num_vertices:
-            raise ValueError(
-                f"root {root} out of range for tenant {tenant_id!r}"
-            )
-        t0 = self._clock()
-        trace_id = self._next_trace_id()
-        tenant.stats.requests += 1
-        self.stats.requests += 1
-        if tenant.cache is not None:
-            parent = tenant.cache.get(tenant.fingerprint, root)
-            if parent is not None:
-                total = self._clock() - t0
-                tenant.stats.cache_hits += 1
-                tenant.stats.total_latencies.append(total)
-                self.stats.cache_hits += 1
-                self.stats.total_latencies.append(total)
-                self._count(tenant_id, "cached")
-                self._observe(tenant_id, "total", total)
-                self._record_timeline(
-                    RequestTimeline(
-                        trace_id=trace_id,
-                        root=root,
-                        status="cached",
-                        total_seconds=total,
-                    )
-                )
-                return TraversalResponse(
-                    root=root,
-                    trace_id=trace_id,
-                    tenant=tenant_id,
-                    parent=parent,
-                    cached=True,
-                    total_seconds=total,
-                )
-        if not self.live_replicas:
-            tenant.stats.failed += 1
-            self.stats.failed += 1
-            self._count(tenant_id, "failed")
-            raise ReplicaDown(
-                tenant=tenant_id,
-                trace_id=trace_id,
-                replicas=len(self._replicas),
-            )
-        depth = self.router.depth(tenant_id)
-        if depth >= self.router.quota(tenant_id):
-            tenant.stats.shed += 1
-            self.stats.shed += 1
-            self._count(tenant_id, "shed")
-            raise Overloaded(
-                depth,
-                self.router.quota(tenant_id),
-                tenant=tenant_id,
-                trace_id=trace_id,
-            )
-        future = asyncio.get_running_loop().create_future()
-        request = _Request(
-            root=root, future=future, submitted_at=t0, trace_id=trace_id
-        )
-        self.router.push(tenant_id, request)
-        tenant.stats.admitted += 1
-        self.stats.admitted += 1
-        self._metrics.gauge("cluster_queue_depth", tenant=tenant_id).set(
-            self.router.depth(tenant_id)
-        )
-        self._wake.set()
-        return await future
-
-    # ------------------------------------------------------------------
-    # replica loops
-    # ------------------------------------------------------------------
-
-    async def _replica_loop(self, replica: _Replica) -> None:
-        while True:
-            if replica.kill_requested and not replica.down:
-                self._mark_down(replica)
-            if replica.down:
-                return
-            picked = self.router.next_batch()
-            if picked is None:
-                if self._closed:
-                    return
-                self._wake.clear()
-                if self.router.pending:
-                    continue
-                try:
-                    await asyncio.wait_for(self._wake.wait(), timeout=0.1)
-                except TimeoutError:
-                    pass
-                continue
-            tenant_id, batch = picked
-            # Batching window: give late arrivals one window to join a
-            # short batch (drained queues at shutdown skip it).
-            if (
-                self.batch_window > 0
-                and len(batch) < self.batch_size
-                and not self._closed
-            ):
-                await asyncio.sleep(self.batch_window)
-                batch.extend(
-                    self.router.pop_extra(
-                        tenant_id, self.batch_size - len(batch)
-                    )
-                )
-            self._metrics.gauge("cluster_queue_depth", tenant=tenant_id).set(
-                self.router.depth(tenant_id)
-            )
-            await self._execute_batch(replica, tenant_id, batch)
-
-    # ------------------------------------------------------------------
-    # batch execution
-    # ------------------------------------------------------------------
-
-    async def _execute_batch(
-        self, replica: _Replica, tenant_id: str, batch: list
-    ) -> None:
-        tenant = self.registry[tenant_id]
-        now = self._clock()
-        for request in batch:
-            request.popped_at = now
-        t_exec = self._clock()
-        # Captured before the executor hop: an ingestion may swap the
-        # tenant's engine mid-flight; results cache under the
-        # generation they were computed on.
-        engine = tenant.batched
-        fingerprint = tenant.fingerprint
-        by_root: dict[int, list] = {}
-        for request in batch:
-            by_root.setdefault(request.root, []).append(request)
-        roots = np.array(sorted(by_root), dtype=np.int64)
-        loop = asyncio.get_running_loop()
-        self._inflight += len(batch)
-        try:
-            result = await loop.run_in_executor(
-                None,
-                functools.partial(
-                    engine.run_batch, roots, faults=self._faults
-                ),
-            )
-        except RankCrashError:
-            self._inflight -= len(batch)
-            self._metrics.counter(
-                "cluster_batches", tenant=tenant_id, outcome="crashed"
-            ).inc()
-            self._mark_down(replica)
-            self._reroute(replica, tenant, batch)
-            return
-        self._inflight -= len(batch)
-        if replica.kill_requested and not replica.down:
-            # Killed mid-batch: the replica is gone as far as clients
-            # are concerned, so its computed results are discarded and
-            # the batch re-routed like a crash.
-            self._metrics.counter(
-                "cluster_batches", tenant=tenant_id, outcome="crashed"
-            ).inc()
-            self._mark_down(replica)
-            self._reroute(replica, tenant, batch)
-            return
-        t_done = self._clock()
-        traversal = t_done - t_exec
-        replica.batches += 1
-        tenant.stats.batches += 1
-        tenant.stats.batched_lanes += result.num_lanes
-        self.stats.batches += 1
-        self.stats.batched_lanes += result.num_lanes
-        self._metrics.counter(
-            "cluster_batches", tenant=tenant_id, outcome="completed"
-        ).inc()
-        self._metrics.histogram(
-            "cluster_batch_size", tenant=tenant_id
-        ).observe(result.num_lanes)
-        self._observe(tenant_id, "traversal", traversal)
-        lane_of = {int(r): lane for lane, r in enumerate(result.roots)}
-        for root, requests in by_root.items():
-            parent = result.lane_parent(lane_of[root])
-            if tenant.cache is not None:
-                tenant.cache.put(fingerprint, root, parent)
-            for request in requests:
-                queue_wait = request.popped_at - request.submitted_at
-                batch_wait = t_exec - request.popped_at
-                total = t_done - request.submitted_at
-                self._observe(tenant_id, "queue", queue_wait)
-                self._observe(tenant_id, "batch", batch_wait)
-                self._observe(tenant_id, "total", total)
-                tenant.stats.completed += 1
-                tenant.stats.sim_seconds_total += result.amortized_seconds
-                tenant.stats.total_latencies.append(total)
-                self.stats.completed += 1
-                self.stats.sim_seconds_total += result.amortized_seconds
-                self.stats.total_latencies.append(total)
-                self._count(tenant_id, "completed")
-                self._record_timeline(
-                    RequestTimeline(
-                        trace_id=request.trace_id,
-                        root=root,
-                        batch_lanes=result.num_lanes,
-                        queue_seconds=queue_wait,
-                        batch_seconds=batch_wait,
-                        traversal_seconds=traversal,
-                        total_seconds=total,
-                    )
-                )
-                if not request.future.done():
-                    request.future.set_result(
-                        TraversalResponse(
-                            root=root,
-                            trace_id=request.trace_id,
-                            tenant=tenant_id,
-                            parent=parent,
-                            batch_lanes=result.num_lanes,
-                            queue_wait=queue_wait,
-                            batch_wait=batch_wait,
-                            traversal_seconds=traversal,
-                            total_seconds=total,
-                            sim_seconds=result.amortized_seconds,
-                        )
-                    )
-
-    # ------------------------------------------------------------------
-    # failover
-    # ------------------------------------------------------------------
-
-    def _mark_down(self, replica: _Replica) -> None:
-        if replica.down:
-            return
-        replica.down = True
-        replica.kill_requested = False
-        self._metrics.counter(
-            "cluster_failovers", replica=replica.replica_id
-        ).inc()
-        self._metrics.gauge("cluster_replicas_live").set(
-            len(self.live_replicas)
-        )
-
-    def _reroute(self, replica: _Replica, tenant: Tenant, batch: list) -> None:
-        """Re-queue a down replica's in-flight batch for a survivor.
-
-        Requests keep their submit times and trace ids — latency
-        accounting spans the failover.  Requests over the replay budget
-        fail typed; with no survivors everything fails
-        :class:`ReplicaDown`.
-        """
-        tenant_id = tenant.tenant_id
-        for request in batch:
-            request.attempts += 1
-        if not self.live_replicas:
-            for request in batch:
-                self._fail_request(
-                    request,
-                    tenant,
-                    ReplicaDown(
-                        tenant=tenant_id,
-                        trace_id=request.trace_id,
-                        replicas=len(self._replicas),
-                    ),
-                )
-            return
-        survivors = []
-        for request in batch:
-            if request.attempts > self.max_replays:
-                self._fail_request(
-                    request,
-                    tenant,
-                    TraversalError(
-                        f"batch of {len(batch)} requests failed after "
-                        f"{self.max_replays} replays (replica "
-                        f"{replica.replica_id} down)",
-                        tenant=tenant_id,
-                        trace_id=request.trace_id,
-                    ),
-                )
-            else:
-                survivors.append(request)
-        if survivors:
-            tenant.stats.replays += 1
-            self.stats.replays += 1
-            self._metrics.counter(
-                "cluster_batch_replays", tenant=tenant_id
-            ).inc()
-            self.router.push_front(tenant_id, survivors)
-            self._wake.set()
-
-    def _fail_request(self, request, tenant: Tenant, error) -> None:
-        tenant.stats.failed += 1
-        self.stats.failed += 1
-        self._count(tenant.tenant_id, "failed")
-        self._record_timeline(
-            RequestTimeline(
-                trace_id=request.trace_id,
-                root=request.root,
-                status="failed",
-            )
-        )
-        if not request.future.done():
-            request.future.set_exception(error)
-
-    # ------------------------------------------------------------------
-    # streaming ingestion (per tenant)
-    # ------------------------------------------------------------------
-
-    async def ingest_updates(self, tenant_id: str, batches):
-        """Apply edge-update batches to one tenant's resident graph.
-
-        Requires the tenant to have been built with ``dynamic=True``.
-        The repair runs on the executor; the engine swap, fingerprint
-        bump, and partial cache invalidation are atomic between query
-        batches.  Other tenants are completely unaffected — their
-        fingerprints and caches don't move.
-        """
-        tenant = self.registry[tenant_id]
-        if tenant.dynamic is None:
-            raise RuntimeError(
-                f"tenant {tenant_id!r} was not built with dynamic ingest"
-            )
-        loop = asyncio.get_running_loop()
-        async with self._ingest_lock:
-            reports = []
-            num_updates = 0
-            for batch in batches:
-                report = await loop.run_in_executor(
-                    None, tenant.dynamic.apply_batch, batch
-                )
-                reports.append(report)
-                num_updates += batch.size
-                self._metrics.counter(
-                    "cluster_ingest_batches", tenant=tenant_id
-                ).inc()
-                self._metrics.counter(
-                    "cluster_ingest_updates", tenant=tenant_id
-                ).inc(batch.size)
-            part = await loop.run_in_executor(None, tenant.dynamic.graph)
-            touched = (
-                np.unique(np.concatenate([r.delta.touched for r in reports]))
-                if reports
-                else np.array([], dtype=np.int64)
-            )
-            old_fp = tenant.fingerprint
-            # Atomic from here: no awaits between swap and cache delta.
-            tenant.swap_graph(part)
-            evicted = rekeyed = 0
-            if tenant.cache is not None:
-                if hasattr(tenant.cache, "apply_delta"):
-                    evicted, rekeyed = tenant.cache.apply_delta(
-                        old_fp, tenant.fingerprint, touched
-                    )
-                else:
-                    evicted = tenant.cache.invalidate(old_fp)
-            return ClusterIngestReport(
-                tenant_id,
-                reports,
-                num_updates=num_updates,
-                cache_evicted=evicted,
-                cache_rekeyed=rekeyed,
-                old_fingerprint=old_fp,
-                new_fingerprint=tenant.fingerprint,
-            )
-
-    # ------------------------------------------------------------------
-    # metrics plumbing
-    # ------------------------------------------------------------------
-
-    def _count(self, tenant_id: str, outcome: str) -> None:
-        self._metrics.counter(
-            "cluster_requests", tenant=tenant_id, outcome=outcome
-        ).inc()
-
-    def _observe(self, tenant_id: str, stage: str, seconds: float) -> None:
-        self._metrics.histogram(
-            "cluster_latency_seconds",
-            buckets=LATENCY_BUCKETS,
-            tenant=tenant_id,
-            stage=stage,
-        ).observe(max(seconds, 0.0))
+__all__ = ["ClusterService", "IngestReport", "ReplicaDown"]

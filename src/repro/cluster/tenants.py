@@ -37,7 +37,6 @@ __all__ = [
     "TenantSpec",
     "Tenant",
     "TenantRegistry",
-    "parse_tenant_count",
     "parse_tenant_spec",
     "build_registry",
 ]
@@ -125,10 +124,12 @@ class TenantSpec:
 class Tenant:
     """One resident graph and its serving state.
 
+    ``batched`` is the MSBFS engine replicas run query batches on;
     ``sequential`` is the single-root engine (validation, program
-    serving); ``batched`` is the MSBFS engine replicas run query
-    batches on.  Both views share the partition, so the fingerprint
-    keys both the cache and result attribution.
+    serving), built over the same partition on first use by
+    :meth:`program_engine` when not supplied.  Both views share the
+    partition, so the fingerprint keys both the cache and result
+    attribution.
     """
 
     spec: TenantSpec
@@ -153,20 +154,40 @@ class Tenant:
     def degrees(self):
         return self.batched.part.degrees
 
+    def _engine_kwargs(self) -> dict:
+        """Machine/config/sinks/backend of the batched engine, so a
+        rebuilt or derived engine prices and reports the same way."""
+        src = self.batched
+        return dict(
+            machine=getattr(src, "machine", None),
+            config=src.config,
+            tracer=getattr(src, "tracer", None),
+            metrics=getattr(src, "metrics", None),
+            backend=getattr(getattr(src, "scheduler", None), "backend", None),
+        )
+
+    def program_engine(self):
+        """The sequential engine, built over the served partition on
+        first use (a tenant that never runs a program never builds it)."""
+        if self.sequential is None:
+            from repro.core.engine import DistributedBFS
+
+            self.sequential = DistributedBFS(
+                self.batched.part, **self._engine_kwargs()
+            )
+        return self.sequential
+
     def swap_graph(self, part) -> None:
-        """Rebuild both engines over a repaired partition (streaming
-        ingest); the fingerprint moves with the graph."""
+        """Rebuild the engines over a repaired partition (streaming
+        ingest); the fingerprint moves with the graph.  A sequential
+        engine is rebuilt only if the tenant already had one."""
         from repro.core.engine import DistributedBFS
         from repro.serve.msbfs import MultiSourceBFS
 
-        src = self.batched
-        kwargs = dict(
-            machine=getattr(src, "machine", None),
-            config=src.config,
-            backend=getattr(getattr(src, "scheduler", None), "backend", None),
-        )
+        kwargs = self._engine_kwargs()
         self.batched = MultiSourceBFS(part, **kwargs)
-        self.sequential = DistributedBFS(part, **kwargs)
+        if self.sequential is not None:
+            self.sequential = DistributedBFS(part, **kwargs)
         self.fingerprint = fingerprint_graph(part)
 
 
@@ -216,26 +237,32 @@ class TenantRegistry:
 # ----------------------------------------------------------------------
 
 
-def build_tenant(spec: TenantSpec, *, backend=None, dynamic: bool = False) -> Tenant:
+def build_tenant(spec: TenantSpec, *, backend=None, dynamic: bool = False,
+                 tracer=None, metrics=None) -> Tenant:
     """Build one tenant's engines and cache from its spec.
 
     ``dynamic=True`` additionally wraps the tenant's edge set in an
     :class:`~repro.dynamic.repair.IncrementalGraph` so update batches
-    can be ingested while the tenant serves.
+    can be ingested while the tenant serves.  ``tracer``/``metrics``
+    (optional) attach to the batched engine and the cache.
     """
+    from repro.obs.metrics import NULL_METRICS
     from repro.serve.bench import build_serving_pair
 
     sequential, batched = build_serving_pair(
         spec.scale, spec.rows, spec.cols,
         seed=spec.seed,
         e_threshold=spec.e_threshold, h_threshold=spec.h_threshold,
-        backend=backend,
+        backend=backend, tracer=tracer, metrics=metrics,
     )
     tenant = Tenant(
         spec=spec,
         sequential=sequential,
         batched=batched,
-        cache=ResultCache(capacity=spec.cache_capacity),
+        cache=ResultCache(
+            capacity=spec.cache_capacity,
+            metrics=NULL_METRICS if metrics is None else metrics,
+        ),
         fingerprint=fingerprint_graph(batched.part),
     )
     if dynamic:
@@ -256,10 +283,14 @@ def build_tenant(spec: TenantSpec, *, backend=None, dynamic: bool = False) -> Te
     return tenant
 
 
-def build_registry(specs, *, backend=None, dynamic: bool = False) -> TenantRegistry:
+def build_registry(specs, *, backend=None, dynamic: bool = False,
+                   tracer=None, metrics=None) -> TenantRegistry:
     """Build a registry of tenants from an iterable of specs."""
     return TenantRegistry(
-        build_tenant(spec, backend=backend, dynamic=dynamic)
+        build_tenant(
+            spec, backend=backend, dynamic=dynamic,
+            tracer=tracer, metrics=metrics,
+        )
         for spec in specs
     )
 
@@ -267,19 +298,6 @@ def build_registry(specs, *, backend=None, dynamic: bool = False) -> TenantRegis
 # ----------------------------------------------------------------------
 # CLI spec grammar
 # ----------------------------------------------------------------------
-
-
-def parse_tenant_count(value: str) -> int:
-    """Parse a bare ``--tenants N`` count (``>= 1``)."""
-    try:
-        count = int(value)
-    except ValueError as exc:
-        raise ValueError(
-            f"tenants must be a count or name:class list, got {value!r}"
-        ) from exc
-    if count < 1:
-        raise ValueError(f"tenant count must be >= 1, got {count}")
-    return count
 
 
 def parse_tenant_spec(value: str, *, scale: int = 9, rows: int = 2,
@@ -298,15 +316,15 @@ def parse_tenant_spec(value: str, *, scale: int = 9, rows: int = 2,
     base = TenantSpec(
         tenant_id="_", scale=scale, rows=rows, cols=cols, seed=seed
     )
-    is_count = True
     try:
-        int(value)
+        count = int(value)
     except ValueError:
-        is_count = False
-    if is_count:
+        count = None
+    if count is not None:
         # Numeric input is always the count form — "0" must fail as an
         # invalid count, not sneak through as a tenant named "0".
-        count = parse_tenant_count(value)
+        if count < 1:
+            raise ValueError(f"tenant count must be >= 1, got {count}")
         return [
             replace(
                 base,

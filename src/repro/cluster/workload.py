@@ -1,217 +1,7 @@
-"""Open-loop multi-tenant workload driving for the cluster plane.
+"""The open-loop multi-tenant drivers, re-exported from
+:mod:`repro.serve.workload` (next to the closed-loop driver and the
+diurnal workload generator they share outcome recording with)."""
 
-The single-graph :func:`~repro.serve.workload.run_workload` driver is
-*closed-loop*: N clients each keep one query in flight, so offered load
-adapts to service speed.  Fairness and overload gates need the
-opposite — an **open loop** that dispatches each
-:class:`~repro.serve.workload.ClusterQuery` at its scheduled arrival
-time regardless of how the service is coping, so a hot tenant really
-does offer 10× load and a 2× overload really is 2×.
-
-Every query's terminal outcome is recorded: served (with optional
-bit-exact parent validation against a per-tenant expectation), failed
-typed (:class:`~repro.serve.service.TraversalError` /
-:class:`~repro.cluster.service.ReplicaDown`), or shed typed
-(:class:`~repro.serve.service.Overloaded` after the retry budget, which
-defaults to 0 — under overload gates a shed is a terminal, *accounted*
-answer, not something to hide behind retries).  The report's
-``accounted`` therefore equals ``num_queries`` exactly when no request
-was silently dropped — the gate the benchmark enforces.
-"""
-
-from __future__ import annotations
-
-import asyncio
-
-import numpy as np
-
-from repro.serve.service import Overloaded, TraversalError
-from repro.serve.workload import ClusterWorkload, QueryOutcome, WorkloadReport
-
-from .service import ClusterService, ReplicaDown
+from repro.serve.workload import run_cluster_session, run_cluster_workload
 
 __all__ = ["run_cluster_workload", "run_cluster_session"]
-
-
-async def run_cluster_workload(
-    cluster: ClusterService,
-    workload: ClusterWorkload,
-    *,
-    time_scale: float = 1.0,
-    expected: dict | None = None,
-    shed_backoff: float = 0.0005,
-    max_shed_retries: int = 0,
-    kill_at: tuple[str, int] | None = None,
-) -> WorkloadReport:
-    """Dispatch a timed workload open-loop; return per-query outcomes.
-
-    ``time_scale`` compresses (<1) or stretches (>1) the workload's
-    arrival times.  ``expected`` maps tenant id -> {root: parent array}
-    for bit-exact validation.  ``kill_at=(replica_id, query_index)``
-    calls :meth:`ClusterService.kill_replica` just before dispatching
-    that query — the failure drill used by the smoke and the benchmark.
-    """
-    if time_scale <= 0:
-        raise ValueError("time_scale must be > 0")
-    loop = asyncio.get_running_loop()
-    outcomes: list[QueryOutcome] = []
-
-    async def one(query) -> None:
-        retries = 0
-        while True:
-            try:
-                response = await cluster.submit(query.tenant, query.root)
-            except Overloaded as exc:
-                if retries >= max_shed_retries:
-                    outcomes.append(
-                        QueryOutcome(
-                            root=query.root,
-                            tenant=query.tenant,
-                            shed=True,
-                            shed_retries=retries,
-                            error=str(exc),
-                        )
-                    )
-                    return
-                retries += 1
-                await asyncio.sleep(shed_backoff)
-                continue
-            except (TraversalError, ReplicaDown) as exc:
-                outcomes.append(
-                    QueryOutcome(
-                        root=query.root,
-                        tenant=query.tenant,
-                        shed_retries=retries,
-                        error=str(exc),
-                    )
-                )
-                return
-            correct = None
-            if expected is not None:
-                want = expected.get(query.tenant, {}).get(query.root)
-                if want is not None:
-                    correct = bool(np.array_equal(response.parent, want))
-            outcomes.append(
-                QueryOutcome(
-                    root=query.root,
-                    tenant=query.tenant,
-                    cached=response.cached,
-                    correct=correct,
-                    total_seconds=response.total_seconds,
-                    batch_lanes=response.batch_lanes,
-                    shed_retries=retries,
-                )
-            )
-            return
-
-    t0 = loop.time()
-    tasks = []
-    for index, query in enumerate(workload.queries):
-        if kill_at is not None and index == kill_at[1]:
-            cluster.kill_replica(kill_at[0])
-        due = t0 + query.arrival_seconds * time_scale
-        delay = due - loop.time()
-        if delay > 0:
-            await asyncio.sleep(delay)
-        tasks.append(asyncio.create_task(one(query)))
-    if kill_at is not None and kill_at[1] >= len(workload.queries):
-        cluster.kill_replica(kill_at[0])
-    if tasks:
-        await asyncio.gather(*tasks)
-    return WorkloadReport(outcomes=outcomes)
-
-
-def run_cluster_session(
-    registry,
-    workload: ClusterWorkload,
-    *,
-    replicas: int = 2,
-    expected: dict | None = None,
-    time_scale: float = 1.0,
-    max_shed_retries: int = 0,
-    kill_at: tuple[str, int] | None = None,
-    telemetry: dict | None = None,
-    **cluster_kwargs,
-):
-    """Synchronous convenience: build a :class:`ClusterService` over
-    ``registry``, run ``workload`` open-loop to completion, stop the
-    cluster, and return ``(report, cluster)`` for stats inspection.
-
-    ``telemetry`` (optional) starts the live plane for the session and
-    makes the return a 3-tuple ``(report, cluster, TelemetrySummary)``
-    — keys as in :func:`~repro.serve.workload.run_serving_session`
-    (``port``, ``interval``, ``scrape``); the cluster's own per-tenant
-    SLO monitors back the ``/slo`` views.  Requires ``metrics=`` a real
-    registry in ``cluster_kwargs``.
-    """
-
-    async def main():
-        cluster = ClusterService(
-            registry, replicas=replicas, **cluster_kwargs
-        )
-        if telemetry is None:
-            async with cluster:
-                report = await run_cluster_workload(
-                    cluster,
-                    workload,
-                    time_scale=time_scale,
-                    expected=expected,
-                    max_shed_retries=max_shed_retries,
-                    kill_at=kill_at,
-                )
-            return report, cluster
-
-        from repro.obs.timeline import TelemetrySampler
-        from repro.serve.telemetry import TelemetryServer
-        from repro.serve.workload import TelemetrySummary, _scrape_loop
-
-        metrics = cluster_kwargs.get("metrics")
-        if metrics is None or not getattr(metrics, "enabled", False):
-            raise ValueError(
-                "telemetry requires metrics= a real MetricsRegistry"
-            )
-        interval = float(telemetry.get("interval", 0.05))
-        sampler = TelemetrySampler(metrics, interval=interval)
-        server = TelemetryServer(
-            cluster,
-            metrics,
-            port=int(telemetry.get("port", 0)),
-            sampler=sampler,
-            cluster=cluster,
-        )
-        summary = TelemetrySummary()
-        async with cluster:
-            async with server:
-                summary.port = server.port
-                await sampler.start()
-                scraper = None
-                if telemetry.get("scrape", True):
-                    scraper = asyncio.create_task(
-                        _scrape_loop(
-                            summary, "127.0.0.1", server.port, interval
-                        )
-                    )
-                try:
-                    report = await run_cluster_workload(
-                        cluster,
-                        workload,
-                        time_scale=time_scale,
-                        expected=expected,
-                        max_shed_retries=max_shed_retries,
-                        kill_at=kill_at,
-                    )
-                    await asyncio.sleep(interval)
-                finally:
-                    if scraper is not None:
-                        scraper.cancel()
-                        try:
-                            await scraper
-                        except asyncio.CancelledError:
-                            pass
-                    await sampler.stop()
-                sampler.sample()
-                summary.slo = cluster.slo_status()
-        summary.samples = sampler.taken
-        return report, cluster, summary
-
-    return asyncio.run(main())

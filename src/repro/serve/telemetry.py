@@ -1,6 +1,7 @@
 """The service's live telemetry endpoint: a minimal asyncio HTTP server.
 
-Runs next to a :class:`~repro.serve.service.TraversalService` on its
+Runs next to a :class:`~repro.serve.service.ClusterService` (or a
+single-graph :class:`~repro.serve.service.TraversalService`) on its
 event loop and exposes the observability surface to scrapers:
 
 ============  =========================================================
@@ -19,9 +20,9 @@ path          payload
               aged out)
 ============  =========================================================
 
-When built with ``cluster=`` a :class:`~repro.cluster.service.ClusterService`
-(which also satisfies the ``service`` surface), two multi-tenant views
-appear and ``/slo`` changes shape:
+When built with ``cluster=`` the service (usually the same object as
+``service``), two per-tenant views appear, and without a ``slo_monitor``
+``/slo`` serves the tenants' own monitors:
 
 ================  =====================================================
 ``/tenants``      per-tenant queue depth/quota/weight/deficit, serving
@@ -125,7 +126,7 @@ class TelemetryServer:
         except (
             asyncio.IncompleteReadError,
             asyncio.LimitOverrunError,
-            TimeoutError,
+            asyncio.TimeoutError,
             ConnectionError,
         ):
             writer.close()
@@ -159,13 +160,15 @@ class TelemetryServer:
         if path == "/healthz":
             return 200, "application/json", _json(self._health())
         if path == "/slo":
+            if self.slo_monitor is not None:
+                return 200, "application/json", _json(
+                    self.slo_monitor.evaluate()
+                )
             if self.cluster is not None:
                 return 200, "application/json", _json(
                     self.cluster.slo_status()
                 )
-            if self.slo_monitor is None:
-                return 200, "application/json", _json({"status": "disabled"})
-            return 200, "application/json", _json(self.slo_monitor.evaluate())
+            return 200, "application/json", _json({"status": "disabled"})
         if path.startswith("/slo/"):
             if self.cluster is None:
                 return 404, "application/json", _json(

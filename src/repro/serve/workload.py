@@ -7,11 +7,10 @@ Single-graph pieces:
   exercise the result cache deterministically.
 - :func:`run_workload` — a closed-loop driver: ``clients`` concurrent
   clients each keep exactly one query in flight, retrying queries the
-  service sheds (``Overloaded`` is backpressure, not failure).  Every
-  query's outcome — served, cached, failed, and whether the returned
-  parent tree matched the expected one — is recorded.
+  service sheds (``Overloaded`` is backpressure, not failure), so
+  offered load adapts to service speed.
 
-Multi-tenant pieces (consumed by :mod:`repro.cluster`):
+Multi-tenant pieces (re-exported by :mod:`repro.cluster`):
 
 - :func:`pareto_popularity` — seeded heavy-tail tenant popularity: each
   tenant's traffic share is a normalized Pareto draw, so a few tenants
@@ -22,10 +21,21 @@ Multi-tenant pieces (consumed by :mod:`repro.cluster`):
   each tenant's roots come from its own :func:`make_workload_roots`
   stream.  Identical ``seed`` and parameters give a bit-identical
   workload (arrival floats included).
+- :func:`run_cluster_workload` — an **open-loop** driver that
+  dispatches each :class:`ClusterQuery` at its scheduled arrival time
+  regardless of how the service is coping, so a hot tenant really does
+  offer 10x load and a 2x overload really is 2x.  Its shed-retry
+  budget defaults to 0: under overload gates a typed shed is a
+  terminal, *accounted* answer.
 
-Every query's journey is a :class:`QueryOutcome` (now tenant-tagged);
-:meth:`WorkloadReport.per_tenant` splits a report into per-tenant
-sub-reports so fairness and SLO gates can compare tenants directly.
+Both drivers send each query through :func:`serve_query`, so every
+query ends in one recorded :class:`QueryOutcome` — served (with
+optional bit-exact parent validation), failed typed, or shed typed —
+and a report's ``accounted`` equals ``num_queries`` exactly when no
+request was silently dropped.  :meth:`WorkloadReport.per_tenant` splits
+a report into per-tenant sub-reports so fairness and SLO gates can
+compare tenants directly.  :func:`run_session` runs either driver
+against a started service, optionally with the live telemetry plane.
 
 The CI smokes and the serving benchmarks all drive services through
 this module, so "zero wrong parents / zero dropped-without-typed-shed
@@ -36,13 +46,16 @@ write.
 from __future__ import annotations
 
 import asyncio
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.serve.service import (
+    ClusterService,
     Overloaded,
+    ReplicaDown,
     TraversalError,
     TraversalService,
 )
@@ -52,7 +65,11 @@ __all__ = [
     "pareto_popularity",
     "make_diurnal_workload",
     "run_workload",
+    "run_cluster_workload",
+    "run_cluster_session",
+    "serve_query",
     "run_serving_session",
+    "run_session",
     "QueryOutcome",
     "WorkloadReport",
     "ClusterQuery",
@@ -350,6 +367,58 @@ class WorkloadReport:
         return split
 
 
+async def serve_query(
+    submit,
+    root: int,
+    *,
+    tenant: str = "",
+    expected: dict | None = None,
+    shed_backoff: float = 0.0005,
+    max_shed_retries: int = 0,
+) -> QueryOutcome:
+    """Send one query with ``await submit(root)`` until it has an outcome.
+
+    An :class:`Overloaded` rejection backs off ``shed_backoff`` seconds
+    and retries the same root, up to ``max_shed_retries`` times; after
+    that the shed is the query's typed terminal outcome.  Typed failures
+    (:class:`TraversalError`, :class:`ReplicaDown`) are recorded as
+    errors.  ``expected`` maps root → parent array; a served response
+    for such a root is checked bit-for-bit.
+    """
+    retries = 0
+    while True:
+        try:
+            response = await submit(root)
+        except Overloaded as exc:
+            if retries >= max_shed_retries:
+                return QueryOutcome(
+                    root=root,
+                    tenant=tenant,
+                    shed=True,
+                    shed_retries=retries,
+                    error=str(exc),
+                )
+            retries += 1
+            await asyncio.sleep(shed_backoff)
+            continue
+        except (TraversalError, ReplicaDown) as exc:
+            return QueryOutcome(
+                root=root, tenant=tenant, shed_retries=retries, error=str(exc)
+            )
+        correct = None
+        if expected is not None and root in expected:
+            correct = bool(np.array_equal(response.parent, expected[root]))
+        return QueryOutcome(
+            root=root,
+            tenant=tenant,
+            cached=response.cached,
+            correct=correct,
+            total_seconds=response.total_seconds,
+            batch_lanes=response.batch_lanes,
+            shed_retries=retries,
+        )
+
+
 async def run_workload(
     service: TraversalService,
     roots,
@@ -358,65 +427,122 @@ async def run_workload(
     expected: dict | None = None,
     shed_backoff: float = 0.0005,
     max_shed_retries: int = 10_000,
+    tenant: str | None = None,
 ) -> WorkloadReport:
     """Drive ``service`` with a closed loop of ``clients`` clients.
 
-    Each client keeps one query in flight; an :class:`Overloaded`
-    rejection backs off ``shed_backoff`` seconds and retries the same
-    root.  ``expected`` maps root → parent array; served responses for
-    those roots are checked bit-for-bit.
+    Each client keeps one query in flight (see :func:`serve_query`; a
+    shed retries the same root).  ``tenant`` names the tenant to query
+    on a :class:`~repro.serve.service.ClusterService` (``None``:
+    ``service`` is a single-graph :class:`TraversalService`).
     """
     if clients < 1:
         raise ValueError("clients must be >= 1")
     pending = deque(int(r) for r in roots)
     outcomes: list[QueryOutcome] = []
+    submit = service.submit
+    if tenant is not None:
+        submit = functools.partial(service.submit, tenant)
 
     async def client() -> None:
         while pending:
-            root = pending.popleft()
-            retries = 0
-            while True:
-                try:
-                    response = await service.submit(root)
-                except Overloaded:
-                    retries += 1
-                    if retries > max_shed_retries:
-                        outcomes.append(
-                            QueryOutcome(
-                                root=root,
-                                shed_retries=retries,
-                                error="shed retry budget exhausted",
-                            )
-                        )
-                        break
-                    await asyncio.sleep(shed_backoff)
-                    continue
-                except TraversalError as exc:
-                    outcomes.append(
-                        QueryOutcome(
-                            root=root, shed_retries=retries, error=str(exc)
-                        )
-                    )
-                    break
-                correct = None
-                if expected is not None and root in expected:
-                    correct = bool(
-                        np.array_equal(response.parent, expected[root])
-                    )
-                outcomes.append(
-                    QueryOutcome(
-                        root=root,
-                        cached=response.cached,
-                        correct=correct,
-                        total_seconds=response.total_seconds,
-                        batch_lanes=response.batch_lanes,
-                        shed_retries=retries,
-                    )
+            outcomes.append(
+                await serve_query(
+                    submit,
+                    pending.popleft(),
+                    tenant=tenant or "",
+                    expected=expected,
+                    shed_backoff=shed_backoff,
+                    max_shed_retries=max_shed_retries,
                 )
-                break
+            )
 
     await asyncio.gather(*(client() for _ in range(clients)))
     return WorkloadReport(outcomes=outcomes)
+
+
+async def run_cluster_workload(
+    cluster,
+    workload: ClusterWorkload,
+    *,
+    time_scale: float = 1.0,
+    expected: dict | None = None,
+    shed_backoff: float = 0.0005,
+    max_shed_retries: int = 0,
+    kill_at: tuple[str, int] | None = None,
+) -> WorkloadReport:
+    """Dispatch a timed workload open-loop; return per-query outcomes.
+
+    ``time_scale`` compresses (<1) or stretches (>1) the workload's
+    arrival times.  ``expected`` maps tenant id -> {root: parent array}
+    for bit-exact validation.  ``kill_at=(replica_id, query_index)``
+    calls :meth:`ClusterService.kill_replica` just before dispatching
+    that query — the failure drill used by the smoke and the benchmark.
+    """
+    if time_scale <= 0:
+        raise ValueError("time_scale must be > 0")
+    loop = asyncio.get_running_loop()
+    outcomes: list[QueryOutcome] = []
+
+    async def one(query) -> None:
+        outcomes.append(
+            await serve_query(
+                functools.partial(cluster.submit, query.tenant),
+                query.root,
+                tenant=query.tenant,
+                expected=None if expected is None
+                else expected.get(query.tenant),
+                shed_backoff=shed_backoff,
+                max_shed_retries=max_shed_retries,
+            )
+        )
+
+    t0 = loop.time()
+    tasks = []
+    for index, query in enumerate(workload.queries):
+        if kill_at is not None and index == kill_at[1]:
+            cluster.kill_replica(kill_at[0])
+        due = t0 + query.arrival_seconds * time_scale
+        delay = due - loop.time()
+        if delay > 0:
+            await asyncio.sleep(delay)
+        tasks.append(asyncio.create_task(one(query)))
+    if kill_at is not None and kill_at[1] >= len(workload.queries):
+        cluster.kill_replica(kill_at[0])
+    if tasks:
+        await asyncio.gather(*tasks)
+    return WorkloadReport(outcomes=outcomes)
+
+
+def run_cluster_session(
+    registry,
+    workload: ClusterWorkload,
+    *,
+    replicas: int = 2,
+    expected: dict | None = None,
+    time_scale: float = 1.0,
+    max_shed_retries: int = 0,
+    kill_at: tuple[str, int] | None = None,
+    telemetry: dict | None = None,
+    **cluster_kwargs,
+):
+    """:func:`~repro.serve.workload.run_session` of ``workload``,
+    dispatched open-loop, against a :class:`ClusterService` over
+    ``registry`` (``telemetry`` keys as there; the cluster's per-tenant
+    SLO monitors back ``/slo``)."""
+    return run_session(
+        lambda: ClusterService(registry, replicas=replicas, **cluster_kwargs),
+        lambda cluster: run_cluster_workload(
+            cluster,
+            workload,
+            time_scale=time_scale,
+            expected=expected,
+            max_shed_retries=max_shed_retries,
+            kill_at=kill_at,
+        ),
+        telemetry=telemetry,
+        metrics=cluster_kwargs.get("metrics"),
+    )
 
 
 @dataclass
@@ -477,7 +603,7 @@ async def _scrape_loop(
         for path in ("/metrics", "/healthz"):
             try:
                 status, _, body = await http_get(host, port, path)
-            except (OSError, TimeoutError, ValueError):
+            except (OSError, asyncio.TimeoutError, ValueError):
                 continue
             if status == 200:
                 summary.scrapes[path] = summary.scrapes.get(path, 0) + 1
@@ -486,56 +612,48 @@ async def _scrape_loop(
         await asyncio.sleep(interval)
 
 
-def run_serving_session(
-    engine,
-    roots,
-    *,
-    clients: int = 4,
-    expected: dict | None = None,
-    telemetry: dict | None = None,
-    **service_kwargs,
-):
-    """Synchronous convenience: build a service around ``engine``, run
-    the workload to completion, stop the service, and return both the
-    workload report and the (stopped) service for stats inspection.
+def run_session(make_service, drive, *, telemetry: dict | None = None,
+                metrics=None):
+    """Synchronous convenience: build a service with ``make_service()``,
+    start it, run ``await drive(service)`` to completion, stop the
+    service, and return ``(report, service)`` for stats inspection.
 
     ``telemetry`` (optional) starts the live plane for the session and
     makes the return a 3-tuple ``(report, service, TelemetrySummary)``.
     Keys: ``port`` (0 = ephemeral), ``interval`` (sampler cadence,
-    seconds), ``slos`` (iterable of :class:`~repro.obs.slo.SLOSpec`),
-    ``scrape`` (self-scrape ``/metrics`` + ``/healthz`` during the run,
-    default ``True``).  Requires ``metrics=`` a real registry in
-    ``service_kwargs``.
+    seconds), ``slos`` (iterable of :class:`~repro.obs.slo.SLOSpec`
+    evaluated over every tenant's latencies; without it each tenant's
+    own class SLOs back ``/slo``), ``scrape`` (self-scrape ``/metrics``
+    + ``/healthz`` during the run, default ``True``).  Requires
+    ``metrics`` — the service's registry — to be a real one.
     """
 
     async def main():
-        service = TraversalService(engine, **service_kwargs)
+        service = make_service()
         if telemetry is None:
             async with service:
-                report = await run_workload(
-                    service, roots, clients=clients, expected=expected
-                )
+                report = await drive(service)
             return report, service
 
         from repro.obs.slo import SLOMonitor
         from repro.obs.timeline import TelemetrySampler
         from repro.serve.telemetry import TelemetryServer
 
-        registry = service_kwargs.get("metrics")
-        if registry is None or not getattr(registry, "enabled", False):
+        if metrics is None or not getattr(metrics, "enabled", False):
             raise ValueError(
                 "telemetry requires metrics= a real MetricsRegistry"
             )
         interval = float(telemetry.get("interval", 0.05))
-        sampler = TelemetrySampler(registry, interval=interval)
+        sampler = TelemetrySampler(metrics, interval=interval)
         slos = tuple(telemetry.get("slos", ()))
-        monitor = SLOMonitor(registry, slos) if slos else None
+        monitor = SLOMonitor(metrics, slos) if slos else None
         server = TelemetryServer(
             service,
-            registry,
+            metrics,
             port=int(telemetry.get("port", 0)),
             sampler=sampler,
             slo_monitor=monitor,
+            cluster=service,
         )
         summary = TelemetrySummary()
         async with service:
@@ -552,9 +670,7 @@ def run_serving_session(
                         )
                     )
                 try:
-                    report = await run_workload(
-                        service, roots, clients=clients, expected=expected
-                    )
+                    report = await drive(service)
                     # One settled pass so the final state is observable.
                     await asyncio.sleep(interval)
                 finally:
@@ -566,9 +682,33 @@ def run_serving_session(
                             pass
                     await sampler.stop()
                 sampler.sample()
-                if monitor is not None:
-                    summary.slo = monitor.evaluate()
+                summary.slo = (
+                    monitor.evaluate()
+                    if monitor is not None
+                    else service.slo_status()
+                )
         summary.samples = sampler.taken
         return report, service, summary
 
     return asyncio.run(main())
+
+
+def run_serving_session(
+    engine,
+    roots,
+    *,
+    clients: int = 4,
+    expected: dict | None = None,
+    telemetry: dict | None = None,
+    **service_kwargs,
+):
+    """:func:`run_session` of the closed-loop workload over ``roots``
+    against a :class:`TraversalService` around ``engine``."""
+    return run_session(
+        lambda: TraversalService(engine, **service_kwargs),
+        lambda service: run_workload(
+            service, roots, clients=clients, expected=expected
+        ),
+        telemetry=telemetry,
+        metrics=service_kwargs.get("metrics"),
+    )

@@ -113,24 +113,24 @@ class TestCommands:
         assert rc == 0
 
     def test_sssp_delta_stepping(self, capsys):
-        rc = main(["sssp", "--scale", "10", "--mesh", "2x2"])
+        rc = main(["algo", "sssp-delta", "--scale", "10", "--mesh", "2x2"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "buckets" in out and "relaxations" in out
+        assert "num_buckets=" in out and "relaxations=" in out
 
     def test_sssp_bellman_ford(self, capsys):
-        rc = main([
-            "sssp", "--scale", "10", "--mesh", "2x2",
-            "--algorithm", "bellman-ford",
-        ])
+        rc = main(["algo", "sssp", "--scale", "10", "--mesh", "2x2"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "Bellman-Ford rounds" in out
+        assert out.startswith("sssp: ") and "relaxations=" in out
 
     def test_sssp_explicit_delta(self, capsys):
-        rc = main(["sssp", "--scale", "9", "--mesh", "2x2", "--delta", "0.25"])
+        rc = main([
+            "algo", "sssp-delta", "--scale", "9", "--mesh", "2x2",
+            "--delta", "0.25",
+        ])
         assert rc == 0
-        assert "delta = 0.25" in capsys.readouterr().out
+        assert "delta=0.25" in capsys.readouterr().out
 
 
 class TestResilienceFlags:

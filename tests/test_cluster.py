@@ -298,8 +298,24 @@ class TestClusterService:
         for root, resp in zip(roots, results):
             want = registry_pair["t0"].sequential.run(root).parent
             np.testing.assert_array_equal(resp.parent, want)
-        assert metrics.counter_total("cluster_failovers") == 1
-        assert metrics.counter_total("cluster_batch_replays", tenant="t0") >= 1
+        assert metrics.counter_total("serve_failovers") == 1
+        assert metrics.counter_total("serve_batch_replays", tenant="t0") >= 1
+
+    def test_batching_window_is_billed_to_the_batch_stage(self):
+        # A lone request waits out the whole window after the router
+        # hands it to a replica: that is stage="batch", not "queue".
+        window = 0.05
+        registry = build_registry(specs(1))
+
+        async def scenario():
+            async with ClusterService(
+                registry, replicas=2, batch_window=window
+            ) as cluster:
+                return await cluster.submit("t0", 11)
+
+        response = run_async(scenario())
+        assert response.batch_wait == pytest.approx(window, abs=0.02)
+        assert response.queue_wait < 0.01
 
     def test_kill_replica_mid_stream_is_transparent(self, registry_pair):
         async def scenario():
@@ -415,16 +431,16 @@ class TestPerTenantSLO:
         clock = lambda: 0.0  # noqa: E731
         spec = (SLOSpec(stage="total", threshold_seconds=0.1, objective=0.9),)
         fast = metrics.histogram(
-            "cluster_latency_seconds", buckets=LATENCY_BUCKETS,
+            "serve_latency_seconds", buckets=LATENCY_BUCKETS,
             tenant="fast", stage="total",
         )
         slow = metrics.histogram(
-            "cluster_latency_seconds", buckets=LATENCY_BUCKETS,
+            "serve_latency_seconds", buckets=LATENCY_BUCKETS,
             tenant="slow", stage="total",
         )
         monitors = {
             tid: SLOMonitor(
-                metrics, spec, metric="cluster_latency_seconds",
+                metrics, spec, metric="serve_latency_seconds",
                 match={"tenant": tid}, clock=clock,
             )
             for tid in ("fast", "slow")

@@ -306,6 +306,48 @@ class TestTraversalService:
         assert svc.stats.completed == 1
         assert ok.parent is not None
 
+    def test_engine_error_fails_only_that_batch(self, engines):
+        # A non-crash exception from the engine must fail its batch's
+        # requests typed (chained to the cause) and keep serving; it
+        # must never strand later queries.
+        sequential, batched, _ = engines
+        roots = np.flatnonzero(batched.part.degrees > 0)
+
+        class FailOnce:
+            def __init__(self, engine):
+                self._engine = engine
+                self.calls = 0
+
+            def __getattr__(self, name):
+                return getattr(self._engine, name)
+
+            def run_batch(self, roots, **kwargs):
+                self.calls += 1
+                if self.calls == 1:
+                    raise ValueError("stub engine failure")
+                return self._engine.run_batch(roots, **kwargs)
+
+        metrics = MetricsRegistry()
+
+        async def main():
+            svc = TraversalService(
+                FailOnce(batched), batch_window=0.0, metrics=metrics
+            )
+            async with svc:
+                with pytest.raises(TraversalError) as err:
+                    await asyncio.wait_for(svc.submit(int(roots[0])), 3.0)
+                ok = await asyncio.wait_for(svc.submit(int(roots[1])), 3.0)
+            return svc, err.value, ok
+
+        svc, error, ok = run_async(main())
+        assert isinstance(error.__cause__, ValueError)
+        assert error.tenant == "default" and error.trace_id
+        assert svc.stats.failed == 1 and svc.stats.replays == 0
+        assert metrics.counter_total("serve_requests", outcome="failed") == 1
+        assert np.array_equal(
+            ok.parent, sequential.run(int(roots[1])).parent
+        )
+
     def test_latency_histograms_populated(self, engines):
         _, batched, _ = engines
         metrics = MetricsRegistry()
@@ -324,10 +366,12 @@ class TestTraversalService:
                 metrics.samples("serve_latency_seconds")
             )
             labels = [lab for lab, _ in samples]
-            assert {"stage": stage} in labels, f"missing stage={stage}"
+            assert {"tenant": "default", "stage": stage} in labels, (
+                f"missing stage={stage}"
+            )
         total = [
             inst for lab, inst in metrics.samples("serve_latency_seconds")
-            if lab == {"stage": "total"}
+            if lab == {"tenant": "default", "stage": "total"}
         ][0]
         assert total.summary()["count"] == 4
 
