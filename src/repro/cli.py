@@ -1111,20 +1111,25 @@ class _StragglerEngine:
 
 
 def _cmd_serve_impl(args, backend) -> int:
+    import asyncio
+    import functools
+    from collections import deque
     from dataclasses import replace
 
     from repro.analysis.reporting import ascii_table, format_seconds
     from repro.cluster import TenantSpec, build_registry, parse_tenant_spec
     from repro.obs.export import write_chrome_trace
     from repro.obs.metrics import MetricsRegistry
+    from repro.obs.report import report_from_serve
     from repro.obs.tracer import NULL_TRACER, Tracer
     from repro.serve.service import DEFAULT_TENANT, ClusterService
     from repro.serve.workload import (
+        WorkloadReport,
         make_diurnal_workload,
         make_workload_roots,
         run_cluster_workload,
         run_session,
-        run_workload,
+        serve_query,
     )
 
     rows, cols = args.mesh
@@ -1214,16 +1219,29 @@ def _cmd_serve_impl(args, backend) -> int:
     if args.smoke and replicas >= 2:
         kill_at = ("r0", queries // 2)
 
-    def drive(service):
+    async def drive(service):
         if multi:
-            return run_cluster_workload(
+            return await run_cluster_workload(
                 service, workload, expected=expected,
                 max_shed_retries=10_000, kill_at=kill_at,
             )
-        return run_workload(
-            service, roots, clients=args.clients, tenant=DEFAULT_TENANT,
-            expected=None if expected is None else expected[DEFAULT_TENANT],
-        )
+        # Closed loop: each client keeps one query in flight and retries
+        # sheds, so the offered load follows the service's speed.
+        submit = functools.partial(service.submit, DEFAULT_TENANT)
+        pending = deque(int(r) for r in roots)
+        outcomes = []
+
+        async def client():
+            while pending:
+                outcomes.append(await serve_query(
+                    submit, pending.popleft(), tenant=DEFAULT_TENANT,
+                    expected=None if expected is None
+                    else expected[DEFAULT_TENANT],
+                    max_shed_retries=10_000,
+                ))
+
+        await asyncio.gather(*(client() for _ in range(args.clients)))
+        return WorkloadReport(outcomes=outcomes)
 
     telemetry = None
     if args.telemetry_port is not None:
@@ -1286,9 +1304,14 @@ def _cmd_serve_impl(args, backend) -> int:
           f"{len(service.replica_ids)}")
 
     ok = True
-    if report.accounted != report.num_queries:
+    if multi and report.accounted != report.num_queries:
+        # Open loop: a typed shed is an answer; a silent drop is not.
         print(f"FAIL: {report.num_queries - report.accounted} queries "
               "got no response and no typed shed")
+        ok = False
+    if not multi and report.served != report.num_queries:
+        # Closed loop: clients retry sheds, so every query is served.
+        print(f"FAIL: {report.num_queries - report.served} queries dropped")
         ok = False
     if report.failed:
         print(f"FAIL: {report.failed} queries failed")
@@ -1352,16 +1375,19 @@ def _cmd_serve_impl(args, backend) -> int:
         import json
         from pathlib import Path
 
-        doc = {
-            "config": {
-                "scale": scale, "mesh": f"{rows}x{cols}", "seed": seed,
-                "replicas": replicas, "queries": queries,
-                "batch_size": args.batch_size,
-                "batch_window": args.batch_window,
-                "duration_seconds": duration if multi else None,
-                "clients": None if multi else args.clients,
-                "tenants": {t.tenant_id: t.spec.slo_class for t in registry},
-            },
+        run_report = report_from_serve(
+            service, report,
+            context=dict(
+                scale=scale, rows=rows, cols=cols, seed=seed,
+                queries=queries, hot_fraction=hot_fraction,
+                hot_set=hot_set,
+                duration_seconds=duration if multi else None,
+                clients=None if multi else args.clients,
+            ),
+        )
+        # One artifact: the serve.* RunReport (what `repro compare`
+        # loads; it ignores the other keys) plus the per-tenant summary.
+        doc = run_report.to_dict() | {
             "tenants": service.tenants_snapshot()["tenants"],
             "report": {
                 key: getattr(report, key)

@@ -8,9 +8,11 @@ typed shed/fail/failover surfaces, and bit-identical re-routing of a
 down replica's in-flight batches.  The service itself is the one serving
 core in :mod:`repro.serve.service` (re-exported by
 :mod:`~repro.cluster.service`); a single graph is one tenant on one
-replica.
-Open-loop diurnal workloads drive it (:mod:`~repro.cluster.workload`).
+replica.  Open-loop diurnal workloads drive it
+(:func:`~repro.serve.workload.run_cluster_workload`).
 """
+
+from repro.serve.workload import run_cluster_session, run_cluster_workload
 
 from .router import ClusterRouter, QueueFull
 from .service import ClusterService, IngestReport, ReplicaDown
@@ -23,7 +25,6 @@ from .tenants import (
     build_tenant,
     parse_tenant_spec,
 )
-from .workload import run_cluster_session, run_cluster_workload
 
 __all__ = [
     "SLO_CLASSES",

@@ -466,20 +466,31 @@ def report_from_serve(
 ) -> RunReport:
     """Build a :class:`RunReport` from a serving session.
 
-    ``service`` is a (stopped) :class:`~repro.serve.service.TraversalService`;
-    ``workload`` optionally a
-    :class:`~repro.serve.workload.WorkloadReport` from the closed-loop
-    driver, adding the client-side view (wrong parents, shed retries).
-    The ``serve.*`` metric family covers admission (requests, shed,
-    failed), batching (batches, mean batch size), the cache (hit rate),
-    wall latency (p50/p99), and the amortized simulated cost per query.
+    ``service`` is a (stopped) :class:`~repro.serve.service.ClusterService`
+    (a single-graph :class:`~repro.serve.service.TraversalService` is its
+    one-tenant case); ``workload`` optionally a
+    :class:`~repro.serve.workload.WorkloadReport` from a driver, adding
+    the client-side view (wrong parents, shed retries).  The ``serve.*``
+    metric family covers admission (requests, shed, failed), batching
+    (batches, mean batch size), the cache (hit rate), wall latency
+    (p50/p99), and the amortized simulated cost per query, summed over
+    tenants; the tenant-labelled histograms land in ``summaries``.  The
+    fingerprinted context names each tenant's class, admission quota and
+    graph fingerprint.
     """
     stats = service.stats
     ctx = _context(name, None, context)
-    ctx.setdefault("queue_depth", int(service.queue_depth))
     ctx.setdefault("batch_size", int(service.batch_size))
     ctx.setdefault("batch_window", float(service.batch_window))
-    ctx.setdefault("graph_fingerprint", service.graph_fingerprint)
+    ctx.setdefault("replicas", len(service.replica_ids))
+    ctx.setdefault("tenants", {
+        tenant.tenant_id: {
+            "slo_class": tenant.spec.slo_class,
+            "quota": tenant.spec.resolved_quota,
+            "graph_fingerprint": tenant.fingerprint,
+        }
+        for tenant in service.registry
+    })
     metrics = {
         "serve.requests": float(stats.requests),
         "serve.completed": float(stats.completed),

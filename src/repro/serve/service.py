@@ -49,7 +49,7 @@ import asyncio
 import functools
 import time
 from collections import Counter, OrderedDict
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -1029,14 +1029,15 @@ class ClusterService:
 
         Requires the tenant to carry an
         :class:`~repro.dynamic.repair.IncrementalGraph` over the same
-        edge set as its engines.  Each batch is repaired on the executor
-        — in-flight query batches keep running against the old engine
-        — then the engine swap, fingerprint bump and cache delta are
-        applied atomically between query batches (no awaits once the
-        repaired partition exists).  The cache is *partially*
-        invalidated: only entries whose parent tree intersects the
-        delta's touched vertices are evicted; the rest are re-keyed to
-        the repaired graph.  Other tenants are untouched.
+        edge set as its engines.  Each batch is repaired, and the new
+        engines built, on the executor — in-flight query batches keep
+        running against the old engine — then the engine swap,
+        fingerprint bump and cache delta are applied atomically between
+        query batches (no awaits once the new engines exist).  The cache
+        is *partially* invalidated: only entries whose parent tree
+        intersects the delta's touched vertices are evicted; the rest
+        are re-keyed to the repaired graph.  Other tenants are
+        untouched.
 
         Ingestions are serialized by an internal lock; queries are not
         blocked by it.
@@ -1065,6 +1066,10 @@ class ClusterService:
                 ).inc(batch.size)
             # graph() compacts pending overlays into the packed arrays.
             part = await loop.run_in_executor(None, tenant.dynamic.graph)
+            # The repaired engines are built off the loop, on a staging
+            # copy of the tenant (it shares the cache and stats).
+            staged = replace(tenant)
+            await loop.run_in_executor(None, staged.swap_graph, part)
             touched = (
                 np.unique(np.concatenate([r.delta.touched for r in reports]))
                 if reports
@@ -1072,7 +1077,9 @@ class ClusterService:
             )
             old_fp = tenant.fingerprint
             # Atomic from here: no awaits between swap and cache delta.
-            tenant.swap_graph(part)
+            tenant.batched = staged.batched
+            tenant.sequential = staged.sequential
+            tenant.fingerprint = staged.fingerprint
             evicted = rekeyed = 0
             if tenant.cache is not None:
                 if hasattr(tenant.cache, "apply_delta"):

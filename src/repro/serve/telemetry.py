@@ -20,9 +20,9 @@ path          payload
               aged out)
 ============  =========================================================
 
-When built with ``cluster=`` the service (usually the same object as
-``service``), two per-tenant views appear, and without a ``slo_monitor``
-``/slo`` serves the tenants' own monitors:
+When built with ``cluster=`` a :class:`~repro.serve.service.ClusterService`
+(usually the same object as ``service``), two per-tenant views appear and
+``/slo`` changes shape:
 
 ================  =====================================================
 ``/tenants``      per-tenant queue depth/quota/weight/deficit, serving
@@ -160,15 +160,13 @@ class TelemetryServer:
         if path == "/healthz":
             return 200, "application/json", _json(self._health())
         if path == "/slo":
-            if self.slo_monitor is not None:
-                return 200, "application/json", _json(
-                    self.slo_monitor.evaluate()
-                )
             if self.cluster is not None:
                 return 200, "application/json", _json(
                     self.cluster.slo_status()
                 )
-            return 200, "application/json", _json({"status": "disabled"})
+            if self.slo_monitor is None:
+                return 200, "application/json", _json({"status": "disabled"})
+            return 200, "application/json", _json(self.slo_monitor.evaluate())
         if path.startswith("/slo/"):
             if self.cluster is None:
                 return 404, "application/json", _json(

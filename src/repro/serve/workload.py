@@ -427,30 +427,24 @@ async def run_workload(
     expected: dict | None = None,
     shed_backoff: float = 0.0005,
     max_shed_retries: int = 10_000,
-    tenant: str | None = None,
 ) -> WorkloadReport:
     """Drive ``service`` with a closed loop of ``clients`` clients.
 
     Each client keeps one query in flight (see :func:`serve_query`; a
-    shed retries the same root).  ``tenant`` names the tenant to query
-    on a :class:`~repro.serve.service.ClusterService` (``None``:
-    ``service`` is a single-graph :class:`TraversalService`).
+    shed retries the same root).  ``expected`` maps root → parent array;
+    served responses for those roots are checked bit-for-bit.
     """
     if clients < 1:
         raise ValueError("clients must be >= 1")
     pending = deque(int(r) for r in roots)
     outcomes: list[QueryOutcome] = []
-    submit = service.submit
-    if tenant is not None:
-        submit = functools.partial(service.submit, tenant)
 
     async def client() -> None:
         while pending:
             outcomes.append(
                 await serve_query(
-                    submit,
+                    service.submit,
                     pending.popleft(),
-                    tenant=tenant or "",
                     expected=expected,
                     shed_backoff=shed_backoff,
                     max_shed_retries=max_shed_retries,
@@ -622,10 +616,11 @@ def run_session(make_service, drive, *, telemetry: dict | None = None,
     makes the return a 3-tuple ``(report, service, TelemetrySummary)``.
     Keys: ``port`` (0 = ephemeral), ``interval`` (sampler cadence,
     seconds), ``slos`` (iterable of :class:`~repro.obs.slo.SLOSpec`
-    evaluated over every tenant's latencies; without it each tenant's
-    own class SLOs back ``/slo``), ``scrape`` (self-scrape ``/metrics``
-    + ``/healthz`` during the run, default ``True``).  Requires
-    ``metrics`` — the service's registry — to be a real one.
+    evaluated over every tenant's latencies into the summary's ``slo``;
+    without it the summary carries the tenants' own SLO documents, as
+    ``/slo`` does), ``scrape`` (self-scrape ``/metrics`` + ``/healthz``
+    during the run, default ``True``).  Requires ``metrics`` — the
+    service's registry — to be a real one.
     """
 
     async def main():
@@ -652,7 +647,6 @@ def run_session(make_service, drive, *, telemetry: dict | None = None,
             metrics,
             port=int(telemetry.get("port", 0)),
             sampler=sampler,
-            slo_monitor=monitor,
             cluster=service,
         )
         summary = TelemetrySummary()

@@ -504,6 +504,37 @@ class TestIngestIsolation:
         want = registry["t0"].sequential.run(1).parent
         np.testing.assert_array_equal(resp.parent, want)
 
+    def test_ingest_builds_engines_off_the_event_loop(self, monkeypatch):
+        import threading
+
+        from repro.cluster.tenants import Tenant
+
+        registry = build_registry(specs(1, scale=7), dynamic=True)
+        built_on = []
+        swap = Tenant.swap_graph
+
+        def recording_swap(self, part):
+            built_on.append(threading.current_thread())
+            swap(self, part)
+
+        monkeypatch.setattr(Tenant, "swap_graph", recording_swap)
+        batch = UpdateBatch(
+            src=np.array([1], dtype=np.int64),
+            dst=np.array([100], dtype=np.int64),
+            op=np.ones(1, dtype=np.int8),
+        )
+
+        async def scenario():
+            async with ClusterService(registry, replicas=1) as cluster:
+                report = await cluster.ingest_updates("t0", [batch])
+                return report, threading.current_thread()
+
+        report, loop_thread = run_async(scenario())
+        assert len(built_on) == 1 and built_on[0] is not loop_thread
+        # The staged engines were installed on the live tenant.
+        assert registry["t0"].fingerprint == report.new_fingerprint
+        assert registry["t0"].fingerprint != report.old_fingerprint
+
     def test_ingest_requires_dynamic_tenant(self, registry_pair):
         async def scenario():
             async with ClusterService(registry_pair, replicas=1) as cluster:

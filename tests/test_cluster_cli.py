@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.obs.report import RunReport
+
 REPO = Path(__file__).parent.parent
 
 
@@ -76,3 +78,7 @@ class TestClusterSmoke:
         assert set(doc["tenants"]) == {"web", "batch"}
         assert doc["report"]["accounted"] == 40
         assert doc["report"]["wrong_parents"] == 0
+        # The same file is a RunReport `repro compare` can load.
+        report = RunReport.load(out)
+        assert report.metrics["serve.requests"] == 40
+        assert set(report.context["tenants"]) == {"web", "batch"}

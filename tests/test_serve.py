@@ -17,7 +17,7 @@ from repro.graph500.rmat import generate_edges
 from repro.graphs.csr import build_csr, symmetrize_edges
 from repro.machine.network import MachineSpec
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.report import report_from_serve
+from repro.obs.report import RunReport, report_from_serve
 from repro.resilience.faults import FaultInjector
 from repro.runtime.mesh import ProcessMesh
 from repro.serve import (
@@ -559,7 +559,10 @@ class TestServeCLI:
         out = capsys.readouterr().out
         assert rc == 0
         assert "wrong parents" in out and "0/48 validated" in out
-        assert out_path.exists()
+        report = RunReport.load(out_path)
+        assert report.metrics["serve.requests"] == 48
+        assert set(report.context["tenants"]) == {"default"}
+        assert main(["compare", str(out_path), str(out_path)]) == 0
 
     def test_serve_command_with_faults_replays(self, capsys):
         rc = main([
