@@ -119,7 +119,6 @@ def run_15d(
     checkpoint_every: int = 0,
     max_restarts: int = 3,
     recovery_mode: str = "restart",
-    backend=None,
 ) -> tuple[PartitionedGraph, BFSRunResult]:
     """Partition + run the 1.5D engine once; returns (partition, result).
 
@@ -150,7 +149,7 @@ def run_15d(
     kwargs.update(config_overrides or {})
     engine = DistributedBFS(
         part, machine=setup.machine, config=BFSConfig(**kwargs), tracer=tracer,
-        metrics=metrics, backend=backend,
+        metrics=metrics,
     )
     if faults is None and not checkpoint_every:
         return part, engine.run(setup.root)

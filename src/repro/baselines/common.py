@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core.config import BFSConfig
 from repro.core.direction import choose_whole_iteration_direction
-from repro.core.kernels.base import ComponentKernel, KernelBodySpec
+from repro.core.kernels.base import ComponentKernel
 from repro.core.kernels.scheduler import LevelSyncScheduler, SchedulerHost
 from repro.core.metrics import BFSRunResult, IterationRecord
 from repro.core.subgraphs import SubgraphComponent
@@ -56,9 +56,6 @@ class BaselineComponentKernel(ComponentKernel):
     @property
     def num_arcs(self) -> int:
         return self.comp.num_arcs
-
-    def body_spec(self):
-        return KernelBodySpec(component=self.comp, pull_kind="scan")
 
     def pull_body(self, active, visited):
         return self.comp.pull_scan(~visited, active)
@@ -114,7 +111,6 @@ class BaselineEngine(SchedulerHost):
         config: BFSConfig | None = None,
         tracer: Tracer | None = None,
         metrics=None,
-        backend=None,
     ) -> None:
         self.mesh = mesh
         self.num_vertices = int(num_vertices)
@@ -139,7 +135,7 @@ class BaselineEngine(SchedulerHost):
             for name, comp in self.components.items()
         }
         self.scheduler = LevelSyncScheduler(
-            self, self.kernels, tracer=tracer, metrics=metrics, backend=backend
+            self, self.kernels, tracer=tracer, metrics=metrics
         )
 
     # ------------------------------------------------------------------

@@ -101,7 +101,7 @@ def _damping_arg(value: str) -> float:
 
 def _positive_int(name: str):
     """An argparse ``type`` parsing an integer ``name`` that must be >= 1
-    (``--workers``, ``--replicas``, ``--quota``)."""
+    (``--replicas``, ``--quota``)."""
 
     def parse(value: str) -> int:
         try:
@@ -196,20 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_help = "write a Chrome trace_event JSON of the run to PATH"
 
-    from repro.runtime.backends import BACKEND_NAMES
-
-    backend_p = argparse.ArgumentParser(add_help=False)
-    backend_p.add_argument(
-        "--backend", choices=BACKEND_NAMES, default="simulated",
-        help="where kernel bodies execute: the in-process simulated "
-             "ledger loop, or real shared-memory parallel workers "
-             "(bit-identical results)",
-    )
-    backend_p.add_argument(
-        "--workers", type=_positive_int("workers"), default=1, metavar="N",
-        help="body worker processes for --backend shmem (>= 1)",
-    )
-
     resil = argparse.ArgumentParser(add_help=False)
     resil.add_argument(
         "--faults", type=_faults_arg, default=None, metavar="SPEC",
@@ -225,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     g5 = sub.add_parser(
-        "graph500", parents=[common, resil, backend_p],
+        "graph500", parents=[common, resil],
         help="official benchmark flow",
     )
     g5.add_argument("--roots", type=int, default=8, help="BFS roots (64 = conforming)")
@@ -238,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     bfs = sub.add_parser(
-        "bfs", parents=[common, resil, backend_p], help="one traced BFS run"
+        "bfs", parents=[common, resil], help="one traced BFS run"
     )
     bfs.add_argument("--root", type=int, default=None, help="default: max-degree hub")
     bfs.add_argument(
@@ -313,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     serve = sub.add_parser(
-        "serve", parents=[common, backend_p],
+        "serve", parents=[common],
         help="serve a seeded query workload through the batched "
              "traversal service",
     )
@@ -347,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "counters, workload report, SLOs, replicas)")
     serve.add_argument("--trace", metavar="PATH", default=None,
                        help="write the session's Chrome trace (wall clock; "
-                            "per-request and per-worker tracks)")
+                            "one track per request)")
     serve.add_argument("--telemetry-port", type=int, default=None,
                        metavar="PORT",
                        help="start the live telemetry endpoint (/metrics, "
@@ -398,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "given)")
 
     bserve = sub.add_parser(
-        "bench-serve", parents=[common, backend_p],
+        "bench-serve", parents=[common],
         help="batched-serving benchmark: amortization + throughput sweep",
     )
     bserve.add_argument("--queries", type=int, default=256)
@@ -441,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     ocs.add_argument("--seed", type=int, default=1)
 
     algo = sub.add_parser(
-        "algo", parents=[common, resil, backend_p],
+        "algo", parents=[common, resil],
         help="run a registered vertex program (sssp, pagerank, cc, ...)",
     )
     algo.add_argument(
@@ -490,23 +476,7 @@ def _write_trace(tracer, path) -> bool:
     return True
 
 
-def _with_backend(impl):
-    """A command running ``impl(args, backend)`` on the ``--backend`` /
-    ``--workers`` execution backend, which it always closes."""
-
-    def command(args) -> int:
-        from repro.runtime.backends import create_backend
-
-        backend = create_backend(args.backend, workers=args.workers)
-        try:
-            return impl(args, backend)
-        finally:
-            backend.close()
-
-    return command
-
-
-def _cmd_graph500_impl(args, backend) -> int:
+def _cmd_graph500(args) -> int:
     from repro.graph500.driver import run_graph500
     from repro.obs.tracer import Tracer
 
@@ -527,7 +497,6 @@ def _cmd_graph500_impl(args, backend) -> int:
         max_restarts=args.max_restarts,
         recovery_mode=args.recovery_mode,
         batch_roots=args.batch_roots,
-        backend=backend,
     )
     print(report.render())
     print(f"harmonic_mean_GTEPS: {report.mean_gteps:.3f}")
@@ -544,7 +513,7 @@ def _cmd_graph500_impl(args, backend) -> int:
     return 0 if report.validated and wrote else 1
 
 
-def _cmd_bfs_impl(args, backend) -> int:
+def _cmd_bfs(args) -> int:
     from repro.analysis.experiments import build_setup, run_15d
     from repro.analysis.reporting import ascii_table, format_seconds
     from repro.obs.tracer import Tracer
@@ -564,7 +533,6 @@ def _cmd_bfs_impl(args, backend) -> int:
         checkpoint_every=args.checkpoint_every,
         max_restarts=args.max_restarts,
         recovery_mode=args.recovery_mode,
-        backend=backend,
     )
     print(f"classes: {part.class_sizes()}")
     print(ascii_table(
@@ -756,7 +724,7 @@ def _cmd_ocs(args) -> int:
     return 0
 
 
-def _cmd_algo_impl(args, backend) -> int:
+def _cmd_algo(args) -> int:
     from repro.core.programs import PROGRAM_REGISTRY, available_programs
 
     if args.list:
@@ -825,8 +793,7 @@ def _cmd_algo_impl(args, backend) -> int:
         e_threshold=e_thr, h_threshold=h_thr,
     )
     engine = DistributedBFS(
-        part, machine=setup.machine, tracer=tracer, metrics=registry,
-        backend=backend,
+        part, machine=setup.machine, tracer=tracer, metrics=registry
     )
 
     if spec.native_bfs:
@@ -837,7 +804,7 @@ def _cmd_algo_impl(args, backend) -> int:
               f"({res.simulated_gteps():.1f} GTEPS)")
         report = report_from_bfs(
             res, name="program.bfs", context={**context, "root": root},
-            tracer=tracer, backend=backend,
+            tracer=tracer,
         )
     else:
         params: dict = {}
@@ -1110,7 +1077,7 @@ class _StragglerEngine:
         return self._engine.run_batch(roots, **kwargs)
 
 
-def _cmd_serve_impl(args, backend) -> int:
+def _cmd_serve(args) -> int:
     import asyncio
     import functools
     from collections import deque
@@ -1175,9 +1142,7 @@ def _cmd_serve_impl(args, backend) -> int:
     ]
     metrics = MetricsRegistry()
     tracer = Tracer() if args.trace else NULL_TRACER
-    registry = build_registry(
-        specs, backend=backend, tracer=tracer, metrics=metrics
-    )
+    registry = build_registry(specs, tracer=tracer, metrics=metrics)
     if args.straggler_ms is not None:
         for tenant in registry:
             tenant.batched = _StragglerEngine(
@@ -1413,7 +1378,7 @@ def _cmd_serve_impl(args, backend) -> int:
     return 0 if ok else 1
 
 
-def _cmd_bench_serve_impl(args, backend) -> int:
+def _cmd_bench_serve(args) -> int:
     from repro.analysis.reporting import ascii_table
     from repro.graph500.driver import sample_roots
     from repro.serve.bench import (
@@ -1426,7 +1391,6 @@ def _cmd_bench_serve_impl(args, backend) -> int:
     sequential, batched = build_serving_pair(
         args.scale, rows, cols, seed=args.seed,
         e_threshold=args.e_threshold, h_threshold=args.h_threshold,
-        backend=backend,
     )
     batch_sizes = [int(b) for b in args.batch_sizes.split(",") if b.strip()]
     roots = sample_roots(
@@ -1490,18 +1454,18 @@ def _cmd_bench_serve_impl(args, backend) -> int:
 
 
 _COMMANDS = {
-    "graph500": _with_backend(_cmd_graph500_impl),
-    "bfs": _with_backend(_cmd_bfs_impl),
+    "graph500": _cmd_graph500,
+    "bfs": _cmd_bfs,
     "sweep": _cmd_sweep,
     "partitions": _cmd_partitions,
     "report": _cmd_report,
     "compare": _cmd_compare,
     "ocs": _cmd_ocs,
-    "algo": _with_backend(_cmd_algo_impl),
+    "algo": _cmd_algo,
     "chaos": _cmd_chaos,
     "mutate": _cmd_mutate,
-    "serve": _with_backend(_cmd_serve_impl),
-    "bench-serve": _with_backend(_cmd_bench_serve_impl),
+    "serve": _cmd_serve,
+    "bench-serve": _cmd_bench_serve,
 }
 
 

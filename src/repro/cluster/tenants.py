@@ -155,7 +155,7 @@ class Tenant:
         return self.batched.part.degrees
 
     def _engine_kwargs(self) -> dict:
-        """Machine/config/sinks/backend of the batched engine, so a
+        """Machine/config/sinks of the batched engine, so a
         rebuilt or derived engine prices and reports the same way."""
         src = self.batched
         return dict(
@@ -163,7 +163,6 @@ class Tenant:
             config=src.config,
             tracer=getattr(src, "tracer", None),
             metrics=getattr(src, "metrics", None),
-            backend=getattr(getattr(src, "scheduler", None), "backend", None),
         )
 
     def program_engine(self):
@@ -237,7 +236,7 @@ class TenantRegistry:
 # ----------------------------------------------------------------------
 
 
-def build_tenant(spec: TenantSpec, *, backend=None, dynamic: bool = False,
+def build_tenant(spec: TenantSpec, *, dynamic: bool = False,
                  tracer=None, metrics=None) -> Tenant:
     """Build one tenant's engines and cache from its spec.
 
@@ -253,7 +252,7 @@ def build_tenant(spec: TenantSpec, *, backend=None, dynamic: bool = False,
         spec.scale, spec.rows, spec.cols,
         seed=spec.seed,
         e_threshold=spec.e_threshold, h_threshold=spec.h_threshold,
-        backend=backend, tracer=tracer, metrics=metrics,
+        tracer=tracer, metrics=metrics,
     )
     tenant = Tenant(
         spec=spec,
@@ -283,14 +282,11 @@ def build_tenant(spec: TenantSpec, *, backend=None, dynamic: bool = False,
     return tenant
 
 
-def build_registry(specs, *, backend=None, dynamic: bool = False,
+def build_registry(specs, *, dynamic: bool = False,
                    tracer=None, metrics=None) -> TenantRegistry:
     """Build a registry of tenants from an iterable of specs."""
     return TenantRegistry(
-        build_tenant(
-            spec, backend=backend, dynamic=dynamic,
-            tracer=tracer, metrics=metrics,
-        )
+        build_tenant(spec, dynamic=dynamic, tracer=tracer, metrics=metrics)
         for spec in specs
     )
 

@@ -80,7 +80,6 @@ class DistributedBFS(SchedulerHost):
         config: BFSConfig = BFSConfig(),
         tracer: Tracer | None = None,
         metrics=None,
-        backend=None,
     ) -> None:
         self.part = part
         self.mesh = part.mesh
@@ -98,7 +97,7 @@ class DistributedBFS(SchedulerHost):
         self.ctx = FifteenDContext(part, machine, config)
         self.kernels = build_fifteend_kernels(self.ctx, COMPONENT_ORDER)
         self.scheduler = LevelSyncScheduler(
-            self, self.kernels, tracer=tracer, metrics=metrics, backend=backend
+            self, self.kernels, tracer=tracer, metrics=metrics
         )
 
         self.num_vertices = part.num_vertices

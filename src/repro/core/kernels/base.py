@@ -13,7 +13,6 @@ frontier/visited/parent semantics identical.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from repro.runtime.ledger import TrafficLedger
 
 __all__ = [
     "ComponentKernel",
-    "KernelBodySpec",
     "KernelRegistry",
     "EMPTY_ACTIVATION",
 ]
@@ -32,32 +30,6 @@ EMPTY_ACTIVATION: tuple[np.ndarray, np.ndarray] = (
     np.array([], dtype=np.int64),
     np.array([], dtype=np.int64),
 )
-
-
-@dataclass(frozen=True)
-class KernelBodySpec:
-    """How an execution backend may split a kernel's *body* off.
-
-    A kernel that publishes a body spec promises its sub-iteration
-    factors into a pure traversal body (a range-parameterized selection
-    or scan over its component's frozen arrays — see the ``*_range``
-    functions in :mod:`repro.core.subgraphs`) followed by a commit
-    (``commit_push``/``commit_pull``/lane/program variants) that does all
-    ledger charging and activation dedup on the merged body result.  A
-    backend may then run the body in parallel worker processes over
-    shared-memory views of the arrays; kernels without a spec (returning
-    ``None`` from :meth:`ComponentKernel.body_spec`) always execute
-    in-process through their plain ``execute*`` methods.
-    """
-
-    #: The :class:`~repro.core.subgraphs.SubgraphComponent` whose frozen
-    #: arrays the body reads (the backend ships them to shared memory).
-    component: object
-    #: How this kernel's bottom-up body selects arcs: ``"scan"`` runs the
-    #: early-exit grouped pull scan over (candidate=unvisited, active);
-    #: ``"query"`` runs the push body over the unvisited mask (the L2L
-    #: query/reply model, which has no early exit).
-    pull_kind: str = "scan"
 
 
 class ComponentKernel(ABC):
@@ -165,27 +137,6 @@ class ComponentKernel(ABC):
         return (
             type(self).execute_program is not ComponentKernel.execute_program
         )
-
-    def body_spec(self) -> KernelBodySpec | None:
-        """The kernel's body/commit split, or ``None``.
-
-        ``None`` (the default) means the kernel only offers the monolithic
-        ``execute*`` path and an execution backend must run it in-process.
-        Kernels returning a :class:`KernelBodySpec` additionally implement
-        the commit half of the contract:
-
-        - ``commit_push(sel, active, visited, ledger, record)``
-        - ``commit_pull(body, active, visited, ledger, record)`` where
-          ``body`` is a :class:`~repro.core.subgraphs.PullScan` for
-          ``pull_kind="scan"`` or a
-          :class:`~repro.core.subgraphs.PushSelection` over the unvisited
-          mask for ``pull_kind="query"``;
-        - lane variants ``commit_push_lanes``/``commit_pull_lanes`` when
-          :attr:`supports_lanes`;
-        - program variants ``commit_program_push``/``commit_program_pull``
-          when :attr:`supports_programs`.
-        """
-        return None
 
 
 class KernelRegistry:

@@ -37,7 +37,6 @@ from repro.core.direction import ClassState
 from repro.core.kernels.base import (
     EMPTY_ACTIVATION,
     ComponentKernel,
-    KernelBodySpec,
     KernelRegistry,
 )
 from repro.core.lanes import iter_lanes, lane_bit
@@ -368,18 +367,12 @@ class _FifteenDKernel(ComponentKernel):
     def route_program_pull(self, sel, ledger, record, message_bytes) -> None:
         """Charge delivery of pulled program messages (nothing if local)."""
 
-    # -- body/commit split (the execution-backend contract) -------------
+    # -- body/commit split ----------------------------------------------
     #
     # Every path below factors into a pure *body* (an arc selection or
     # scan over the component's frozen arrays — no ledger access) and a
     # *commit* that does all charging, routing, and activation dedup on
-    # the body's result.  The in-process ``execute*`` methods chain the
-    # two; a parallel backend computes the body chunked in workers and
-    # calls the same commit on the merged result, so the ledger sees an
-    # identical charge sequence either way.
-
-    def body_spec(self):
-        return KernelBodySpec(component=self.comp, pull_kind="scan")
+    # the body's result; the ``execute*`` methods chain the two.
 
     def pull_body(self, active, visited):
         """The pure bottom-up body (L2L overrides with its query model)."""
@@ -773,9 +766,6 @@ class L2LKernel(_FifteenDKernel):
             o_peer, sel.rank, ledger, message_bytes=message_bytes
         )
         ctx.charge_receiver_kernel("L2L", sel.rank, ledger, "pull_reply")
-
-    def body_spec(self):
-        return KernelBodySpec(component=self.comp, pull_kind="query")
 
     def pull_body(self, active, visited):
         # Scanning unvisited local sources is the destination-side pull

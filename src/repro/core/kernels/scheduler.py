@@ -212,7 +212,6 @@ class LevelSyncScheduler:
         *,
         tracer: Tracer | None = None,
         metrics=None,
-        backend=None,
     ) -> None:
         self.host = host
         #: Execution order within an iteration is the mounting order —
@@ -220,19 +219,6 @@ class LevelSyncScheduler:
         self.kernels = kernels
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
-        if backend is None:
-            from repro.runtime.backends.base import SimulatedBackend
-
-            backend = SimulatedBackend()
-        #: Where sub-iteration bodies run; the scheduler mounts its
-        #: kernels but never closes the backend (the creator owns it).
-        self.backend = backend
-        backend.mount(kernels)
-        # A traced scheduler pulls the backend's worker telemetry into
-        # its own sinks; untraced schedulers leave the backend alone so
-        # a shared backend keeps reporting to whoever wanted it.
-        if self.tracer.enabled or self.metrics.enabled:
-            backend.attach_telemetry(self.tracer, self.metrics)
 
     def run(
         self,
@@ -389,8 +375,8 @@ class LevelSyncScheduler:
                         iteration=it,
                         direction=direction,
                     ) as csp:
-                        newly, parents = self.backend.execute(
-                            kernel, direction, active, visited, ledger, record
+                        newly, parents = kernel.execute(
+                            direction, active, visited, ledger, record
                         )
                         csp.add_counter(
                             "edges", record.scanned_arcs.get(name, 0)
@@ -572,8 +558,8 @@ class LevelSyncScheduler:
                         iteration=it,
                         direction=direction,
                     ) as csp:
-                        newly = self.backend.execute_program(
-                            kernel, program, direction, active, ledger, record
+                        newly = kernel.execute_program(
+                            program, direction, active, ledger, record
                         )
                         csp.add_counter(
                             "edges", record.scanned_arcs.get(name, 0)
@@ -733,8 +719,8 @@ class LevelSyncScheduler:
                     iteration=it,
                     direction=direction,
                 ) as csp:
-                    updates = self.backend.execute_lanes(
-                        kernel, direction, group, lanes, ledger, record
+                    updates = kernel.execute_lanes(
+                        direction, group, lanes, ledger, record
                     )
                     newly = lanes.commit(updates)
                     newly_total |= newly

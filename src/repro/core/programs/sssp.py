@@ -389,10 +389,10 @@ class DeltaSteppingResult:
         return self.ledger.total_seconds
 
 
-def _run_program(part: PartitionedGraph, program, machine, backend=None):
+def _run_program(part: PartitionedGraph, program, machine):
     from repro.core.engine import DistributedBFS
 
-    engine = DistributedBFS(part, machine=machine, backend=backend)
+    engine = DistributedBFS(part, machine=machine)
     return engine.run_program(program)
 
 
@@ -405,7 +405,6 @@ def sssp(
     edge_dst: np.ndarray | None = None,
     machine: MachineSpec | None = None,
     max_iterations: int = 10_000,
-    backend=None,
 ) -> SSSPResult:
     """Single-source shortest paths over the partitioned graph.
 
@@ -424,7 +423,7 @@ def sssp(
         weight_of = WeightTable(n, weights, edge_src, edge_dst, context="sssp")
     program = BellmanFordProgram(root, weight_of)
     program.max_iterations = max_iterations
-    res = _run_program(part, program, machine, backend)
+    res = _run_program(part, program, machine)
     return SSSPResult(
         root=root,
         distance=res.state["distance"],
@@ -445,7 +444,6 @@ def delta_stepping_sssp(
     delta: float | None = None,
     machine: MachineSpec | None = None,
     max_buckets: int = 1_000_000,
-    backend=None,
 ) -> DeltaSteppingResult:
     """Exact delta-stepping shortest paths over the partitioned graph."""
     n = part.num_vertices
@@ -459,7 +457,7 @@ def delta_stepping_sssp(
     program = DeltaSteppingProgram(
         root, weight_of, delta, max_buckets=max_buckets
     )
-    res = _run_program(part, program, machine, backend)
+    res = _run_program(part, program, machine)
     return DeltaSteppingResult(
         root=root,
         distance=res.state["distance"],

@@ -105,7 +105,7 @@ class TriangleCountingProgram(VertexProgram):
 
 
 def triangle_count(
-    part: PartitionedGraph, *, machine: MachineSpec | None = None, backend=None
+    part: PartitionedGraph, *, machine: MachineSpec | None = None
 ):
     """Count triangles over the partitioned graph; returns the
     :class:`~repro.core.programs.base.ProgramRunResult` with per-vertex
@@ -113,5 +113,5 @@ def triangle_count(
     ``info["total_triangles"]``."""
     from repro.core.engine import DistributedBFS
 
-    engine = DistributedBFS(part, machine=machine, backend=backend)
+    engine = DistributedBFS(part, machine=machine)
     return engine.run_program(TriangleCountingProgram())

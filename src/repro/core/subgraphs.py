@@ -39,12 +39,6 @@ __all__ = [
     "PullSelection",
     "LanePullScan",
     "COMPONENT_ORDER",
-    "push_select_range",
-    "pull_scan_range",
-    "pull_select_range",
-    "pull_scan_lanes_range",
-    "dedup_pull_hits",
-    "dedup_lane_hits",
     "arc_keys",
     "merge_arc_delta",
 ]
@@ -142,271 +136,6 @@ class LanePullScan:
         return int(self.scanned_per_rank.sum())
 
 
-# ----------------------------------------------------------------------
-# Pure traversal bodies over explicit arrays.
-#
-# Each function computes one direction's arc selection / scan for a
-# contiguous *range* of push sources (slots ``[lo, hi)`` of the by-source
-# CSR) or pull groups.  They close over nothing: every input is an array
-# argument, so an execution backend can run them in worker processes over
-# shared-memory views of the same arrays.  The :class:`SubgraphComponent`
-# methods below are the ``lo=0, hi=size`` full-range calls — concatenating
-# the results of a range partition (in ascending range order) reproduces
-# the full-range result exactly, because selection order is slot/group
-# order and a slot/group lives in exactly one range.
-# ----------------------------------------------------------------------
-
-
-def push_select_range(
-    src_ids, src_indptr, push_dst, push_rank, active, lo, hi
-):
-    """Arcs of source slots ``[lo, hi)`` whose source is in ``active``.
-
-    Returns ``(src, dst, rank)`` arrays in slot order.
-    """
-    empty = np.array([], dtype=np.int64)
-    sel_srcs = np.flatnonzero(active[src_ids[lo:hi]]) + lo
-    if sel_srcs.size == 0:
-        return empty, empty, empty
-    starts = src_indptr[sel_srcs]
-    lens = src_indptr[sel_srcs + 1] - starts
-    total = int(lens.sum())
-    arc_src = np.repeat(src_ids[sel_srcs], lens)
-    offs = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(lens) - lens, lens
-    )
-    idx = np.repeat(starts, lens) + offs
-    return arc_src, push_dst[idx], push_rank[idx]
-
-
-def pull_scan_range(
-    grp_ptr,
-    grp_dst,
-    grp_rank,
-    pull_src,
-    candidate_dst,
-    active_src,
-    lo,
-    hi,
-    num_ranks,
-):
-    """Early-exit scan of pull groups ``[lo, hi)``.
-
-    Returns the *pre-dedup* per-group hits ``(g_dst, g_src, g_rank)`` in
-    group order plus the exact ``scanned_per_rank`` load vector; feed the
-    hits (or a range-partition concatenation of them) to
-    :func:`dedup_pull_hits` for the deterministic cross-rank winners.
-    """
-    empty = np.array([], dtype=np.int64)
-    no_scan = np.zeros(num_ranks, dtype=np.int64)
-    if hi <= lo:
-        return empty, empty, empty, no_scan
-    cand_groups = np.flatnonzero(candidate_dst[grp_dst[lo:hi]]) + lo
-    if cand_groups.size == 0:
-        return empty, empty, empty, no_scan
-    starts = grp_ptr[cand_groups]
-    lens = grp_ptr[cand_groups + 1] - starts
-    total = int(lens.sum())
-    offs = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(lens) - lens, lens
-    )
-    idx = np.repeat(starts, lens) + offs
-    srcs = pull_src[idx]
-    grp_of_arc = np.repeat(np.arange(cand_groups.size, dtype=np.int64), lens)
-
-    hit = active_src[srcs]
-    # first hit position within each group
-    first_pos = np.full(cand_groups.size, -1, dtype=np.int64)
-    if np.any(hit):
-        hit_idx = np.flatnonzero(hit)
-        # reversed minimum trick: np.minimum.at
-        np.minimum.at(
-            first_pos_holder := np.full(cand_groups.size, total + 1, np.int64),
-            grp_of_arc[hit_idx],
-            offs[hit_idx],
-        )
-        found = first_pos_holder <= total
-        first_pos[found] = first_pos_holder[found]
-    scanned = np.where(first_pos >= 0, first_pos + 1, lens)
-    scanned_per_rank = np.bincount(
-        grp_rank[cand_groups], weights=scanned, minlength=num_ranks
-    ).astype(np.int64)
-
-    hit_groups = np.flatnonzero(first_pos >= 0)
-    if hit_groups.size == 0:
-        return empty, empty, empty, scanned_per_rank
-    g_dst = grp_dst[cand_groups[hit_groups]]
-    g_rank = grp_rank[cand_groups[hit_groups]]
-    g_src = pull_src[starts[hit_groups] + first_pos[hit_groups]]
-    return g_dst, g_src, g_rank, scanned_per_rank
-
-
-def dedup_pull_hits(g_dst, g_src, g_rank):
-    """Deterministic cross-rank winner per destination: groups arrive in
-    ascending group (= (rank, dst)) order; reorder by (dst, rank) and keep
-    the first hit of each destination."""
-    order = np.lexsort((g_rank, g_dst))
-    g_dst, g_rank, g_src = g_dst[order], g_rank[order], g_src[order]
-    uniq, first = np.unique(g_dst, return_index=True)
-    return uniq, g_src[first], g_rank[first]
-
-
-def pull_select_range(
-    grp_ptr,
-    grp_dst,
-    grp_rank,
-    pull_src,
-    candidate_dst,
-    active_src,
-    lo,
-    hi,
-    num_ranks,
-):
-    """Full-run (no early exit) arc selection of pull groups ``[lo, hi)``.
-
-    Returns ``(src, dst, rank, scanned_per_rank)`` in group order.
-    """
-    empty = np.array([], dtype=np.int64)
-    no_scan = np.zeros(num_ranks, dtype=np.int64)
-    if hi <= lo:
-        return empty, empty, empty, no_scan
-    cand_groups = np.flatnonzero(candidate_dst[grp_dst[lo:hi]]) + lo
-    if cand_groups.size == 0:
-        return empty, empty, empty, no_scan
-    starts = grp_ptr[cand_groups]
-    lens = grp_ptr[cand_groups + 1] - starts
-    total = int(lens.sum())
-    offs = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(lens) - lens, lens
-    )
-    idx = np.repeat(starts, lens) + offs
-    srcs = pull_src[idx]
-    scanned_per_rank = np.bincount(
-        grp_rank[cand_groups], weights=lens, minlength=num_ranks
-    ).astype(np.int64)
-    keep = active_src[srcs]
-    if not np.any(keep):
-        return empty, empty, empty, scanned_per_rank
-    dst_of_arc = np.repeat(grp_dst[cand_groups], lens)
-    rank_of_arc = np.repeat(grp_rank[cand_groups], lens)
-    return srcs[keep], dst_of_arc[keep], rank_of_arc[keep], scanned_per_rank
-
-
-def pull_scan_lanes_range(
-    grp_ptr,
-    grp_dst,
-    grp_rank,
-    pull_src,
-    candidate_bits,
-    active_bits,
-    group_lanes,
-    lo,
-    hi,
-    num_ranks,
-):
-    """Lane-shared early-exit scan of pull groups ``[lo, hi)``.
-
-    Returns ``(lane_hits, scanned_per_rank)`` where ``lane_hits`` is a
-    list of *pre-dedup* ``(lane, g_dst, g_src, g_rank)`` tuples in
-    ascending lane order; feed it (or a per-lane concatenation over a
-    range partition) to :func:`dedup_lane_hits`.
-    """
-    from repro.core.lanes import iter_lanes, lane_bit
-
-    no_scan = np.zeros(num_ranks, dtype=np.int64)
-    if hi <= lo:
-        return [], no_scan
-    grp_cand_bits = candidate_bits[grp_dst[lo:hi]]
-    cand_rel = np.flatnonzero(grp_cand_bits != 0)
-    if cand_rel.size == 0:
-        return [], no_scan
-    cand_groups = cand_rel + lo
-    grp_cand_bits = grp_cand_bits[cand_rel]
-    starts = grp_ptr[cand_groups]
-    lens = grp_ptr[cand_groups + 1] - starts
-    total = int(lens.sum())
-    offs = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(lens) - lens, lens
-    )
-    idx = np.repeat(starts, lens) + offs
-    srcs = pull_src[idx]
-    grp_of_arc = np.repeat(np.arange(cand_groups.size, dtype=np.int64), lens)
-    # An arc hits for lane l iff its source is active in l AND the
-    # group's destination is still a candidate in l.
-    hit_bits = active_bits[srcs] & grp_cand_bits[grp_of_arc]
-
-    scanned_max = np.zeros(cand_groups.size, dtype=np.int64)
-    lane_hits = []
-    for lane in iter_lanes(group_lanes):
-        bit = lane_bit(lane)
-        lane_cand = (grp_cand_bits & bit) != 0
-        lane_hit = (hit_bits & bit) != 0
-        first_pos = np.full(cand_groups.size, -1, dtype=np.int64)
-        if np.any(lane_hit):
-            hit_idx = np.flatnonzero(lane_hit)
-            np.minimum.at(
-                holder := np.full(cand_groups.size, total + 1, np.int64),
-                grp_of_arc[hit_idx],
-                offs[hit_idx],
-            )
-            found = holder <= total
-            first_pos[found] = holder[found]
-        # Early exit per lane: first hit + 1, the full group when the
-        # lane scanned it dry, nothing when the lane wasn't pulling
-        # this destination at all.
-        scanned_lane = np.where(
-            first_pos >= 0,
-            first_pos + 1,
-            np.where(lane_cand, lens, 0),
-        )
-        np.maximum(scanned_max, scanned_lane, out=scanned_max)
-        hit_groups = np.flatnonzero(first_pos >= 0)
-        if hit_groups.size == 0:
-            continue
-        lane_hits.append(
-            (
-                lane,
-                grp_dst[cand_groups[hit_groups]],
-                pull_src[starts[hit_groups] + first_pos[hit_groups]],
-                grp_rank[cand_groups[hit_groups]],
-            )
-        )
-
-    scanned_per_rank = np.bincount(
-        grp_rank[cand_groups], weights=scanned_max, minlength=num_ranks
-    ).astype(np.int64)
-    return lane_hits, scanned_per_rank
-
-
-def dedup_lane_hits(lane_hits, num_ranks):
-    """Per-lane winners plus the unique (dst, rank) wire messages.
-
-    ``lane_hits`` must hold one pre-dedup ``(lane, g_dst, g_src, g_rank)``
-    tuple per lane in ascending lane order, each lane's hits in ascending
-    group order; returns ``(updates, msg_dst, msg_rank)`` exactly as the
-    sequential :meth:`SubgraphComponent.pull_scan_lanes` builds them.
-    """
-    empty = np.array([], dtype=np.int64)
-    updates = []
-    win_dst, win_rank = [], []
-    for lane, g_dst, g_src, g_rank in lane_hits:
-        order = np.lexsort((g_rank, g_dst))
-        g_dst, g_rank, g_src = g_dst[order], g_rank[order], g_src[order]
-        uniq, first = np.unique(g_dst, return_index=True)
-        updates.append((lane, uniq, g_src[first]))
-        win_dst.append(uniq)
-        win_rank.append(g_rank[first])
-    if not win_dst:
-        return updates, empty, empty
-    all_dst = np.concatenate(win_dst)
-    all_rank = np.concatenate(win_rank)
-    # One wire message per unique (dst, rank) pair — the lane word
-    # rides along, so overlapping lanes share the message.
-    key = all_dst * np.int64(num_ranks) + all_rank
-    _, first = np.unique(key, return_index=True)
-    return updates, all_dst[first], all_rank[first]
-
-
 class SubgraphComponent:
     """One of the six arc components, frozen for traversal."""
 
@@ -482,24 +211,6 @@ class SubgraphComponent:
         src = np.repeat(self.src_ids, np.diff(self.src_indptr))
         return src, self._push_dst.copy(), self._push_rank.copy()
 
-    def body_arrays(self) -> dict[str, np.ndarray]:
-        """The frozen arrays a parallel backend ships to its substrate.
-
-        Exactly the inputs of the module-level range functions; treat the
-        returned arrays as immutable (they *are* the traversal state).
-        """
-        return {
-            "src_ids": self.src_ids,
-            "src_indptr": self.src_indptr,
-            "push_dst": self._push_dst,
-            "push_rank": self._push_rank,
-            "pull_src": self._pull_src,
-            "grp_ptr": self.grp_ptr,
-            "grp_dst": self.grp_dst,
-            "grp_rank": self.grp_rank,
-            "num_ranks": np.array([self.num_ranks], dtype=np.int64),
-        }
-
     # ------------------------------------------------------------------
     # push
     # ------------------------------------------------------------------
@@ -509,21 +220,34 @@ class SubgraphComponent:
 
         ``active`` is a boolean mask over all vertices.  Cost is
         O(unique sources + selected arcs) — the frontier's arcs only.
+        Arcs come back in by-source CSR slot order.
         """
-        src, dst, rank = push_select_range(
-            self.src_ids,
-            self.src_indptr,
-            self._push_dst,
-            self._push_rank,
-            active,
-            0,
-            self.src_ids.size,
+        sel_srcs = np.flatnonzero(active[self.src_ids])
+        if sel_srcs.size == 0:
+            empty = np.array([], dtype=np.int64)
+            return PushSelection(empty, empty, empty)
+        starts = self.src_indptr[sel_srcs]
+        lens = self.src_indptr[sel_srcs + 1] - starts
+        idx = np.repeat(starts, lens) + _run_offsets(lens)
+        return PushSelection(
+            np.repeat(self.src_ids[sel_srcs], lens),
+            self._push_dst[idx],
+            self._push_rank[idx],
         )
-        return PushSelection(src, dst, rank)
 
     # ------------------------------------------------------------------
     # pull
     # ------------------------------------------------------------------
+
+    def _candidate_runs(self, cand_groups: np.ndarray):
+        """``(starts, lens, offs, srcs)`` of the candidate groups' arc
+        runs, concatenated in group order (``offs`` is each arc's
+        position within its run)."""
+        starts = self.grp_ptr[cand_groups]
+        lens = self.grp_ptr[cand_groups + 1] - starts
+        offs = _run_offsets(lens)
+        srcs = self._pull_src[np.repeat(starts, lens) + offs]
+        return starts, lens, offs, srcs
 
     def pull_scan(
         self, candidate_dst: np.ndarray, active_src: np.ndarray
@@ -539,22 +263,33 @@ class SubgraphComponent:
         When several ranks hit the same destination, the winner is the
         lowest (rank, position) — deterministic.
         """
-        g_dst, g_src, g_rank, scanned_per_rank = pull_scan_range(
-            self.grp_ptr,
-            self.grp_dst,
-            self.grp_rank,
-            self._pull_src,
-            candidate_dst,
-            active_src,
-            0,
-            self.num_groups,
-            self.num_ranks,
+        empty = np.array([], dtype=np.int64)
+        cand_groups = np.flatnonzero(candidate_dst[self.grp_dst])
+        if cand_groups.size == 0:
+            no_scan = np.zeros(self.num_ranks, dtype=np.int64)
+            return PullScan(empty, empty, empty, no_scan)
+        starts, lens, offs, srcs = self._candidate_runs(cand_groups)
+        first_pos = _first_hits(
+            active_src[srcs], _group_of_arc(lens), offs, lens.size
         )
-        if g_dst.size == 0:
-            empty = np.array([], dtype=np.int64)
+        scanned = np.where(first_pos >= 0, first_pos + 1, lens)
+        scanned_per_rank = np.bincount(
+            self.grp_rank[cand_groups], weights=scanned,
+            minlength=self.num_ranks,
+        ).astype(np.int64)
+
+        hit_groups = np.flatnonzero(first_pos >= 0)
+        if hit_groups.size == 0:
             return PullScan(empty, empty, empty, scanned_per_rank)
-        hit_dst, hit_src, hit_rank = dedup_pull_hits(g_dst, g_src, g_rank)
-        return PullScan(hit_dst, hit_src, hit_rank, scanned_per_rank)
+        g_dst = self.grp_dst[cand_groups[hit_groups]]
+        g_rank = self.grp_rank[cand_groups[hit_groups]]
+        g_src = self._pull_src[starts[hit_groups] + first_pos[hit_groups]]
+        # Groups arrive in (rank, dst) order; reorder by (dst, rank) and
+        # keep each destination's first hit — the lowest rank wins.
+        order = np.lexsort((g_rank, g_dst))
+        g_dst, g_rank, g_src = g_dst[order], g_rank[order], g_src[order]
+        hit_dst, first = np.unique(g_dst, return_index=True)
+        return PullScan(hit_dst, g_src[first], g_rank[first], scanned_per_rank)
 
     def pull_select(
         self, candidate_dst: np.ndarray, active_src: np.ndarray
@@ -563,24 +298,29 @@ class SubgraphComponent:
 
         Every (rank, dst) group whose destination satisfies
         ``candidate_dst`` is scanned end to end; arcs whose source
-        satisfies ``active_src`` are returned.  With ``candidate_dst``
-        all-true the selected arc *set* equals ``push_select(active_src)``
-        (ordering differs: pull order is grouped by (rank, dst)), which is
-        what makes direction choice value-neutral for commutative
-        combines.
+        satisfies ``active_src`` are returned in group order.  With
+        ``candidate_dst`` all-true the selected arc *set* equals
+        ``push_select(active_src)`` (ordering differs: pull order is
+        grouped by (rank, dst)), which is what makes direction choice
+        value-neutral for commutative combines.
         """
-        src, dst, rank, scanned_per_rank = pull_select_range(
-            self.grp_ptr,
-            self.grp_dst,
-            self.grp_rank,
-            self._pull_src,
-            candidate_dst,
-            active_src,
-            0,
-            self.num_groups,
-            self.num_ranks,
+        empty = np.array([], dtype=np.int64)
+        cand_groups = np.flatnonzero(candidate_dst[self.grp_dst])
+        if cand_groups.size == 0:
+            no_scan = np.zeros(self.num_ranks, dtype=np.int64)
+            return PullSelection(empty, empty, empty, no_scan)
+        _, lens, _, srcs = self._candidate_runs(cand_groups)
+        scanned_per_rank = np.bincount(
+            self.grp_rank[cand_groups], weights=lens, minlength=self.num_ranks
+        ).astype(np.int64)
+        keep = active_src[srcs]
+        if not np.any(keep):
+            return PullSelection(empty, empty, empty, scanned_per_rank)
+        dst_of_arc = np.repeat(self.grp_dst[cand_groups], lens)
+        rank_of_arc = np.repeat(self.grp_rank[cand_groups], lens)
+        return PullSelection(
+            srcs[keep], dst_of_arc[keep], rank_of_arc[keep], scanned_per_rank
         )
-        return PullSelection(src, dst, rank, scanned_per_rank)
 
     def pull_scan_lanes(
         self, candidate_bits: np.ndarray, active_bits: np.ndarray, group_lanes
@@ -594,20 +334,95 @@ class SubgraphComponent:
         depth is the max over its participating lanes (the batched
         kernel scans once and every lane reads the shared stream).
         """
-        lane_hits, scanned_per_rank = pull_scan_lanes_range(
-            self.grp_ptr,
-            self.grp_dst,
-            self.grp_rank,
-            self._pull_src,
-            candidate_bits,
-            active_bits,
-            group_lanes,
-            0,
-            self.num_groups,
-            self.num_ranks,
+        from repro.core.lanes import iter_lanes, lane_bit
+
+        empty = np.array([], dtype=np.int64)
+        grp_cand_bits = candidate_bits[self.grp_dst]
+        cand_groups = np.flatnonzero(grp_cand_bits != 0)
+        if cand_groups.size == 0:
+            no_scan = np.zeros(self.num_ranks, dtype=np.int64)
+            return LanePullScan([], no_scan, empty, empty)
+        grp_cand_bits = grp_cand_bits[cand_groups]
+        starts, lens, offs, srcs = self._candidate_runs(cand_groups)
+        # An arc hits for lane l iff its source is active in l AND the
+        # group's destination is still a candidate in l.
+        grp_of_arc = _group_of_arc(lens)
+        hit_bits = active_bits[srcs] & grp_cand_bits[grp_of_arc]
+
+        scanned_max = np.zeros(cand_groups.size, dtype=np.int64)
+        updates = []
+        win_dst, win_rank = [], []
+        for lane in iter_lanes(group_lanes):
+            bit = lane_bit(lane)
+            lane_cand = (grp_cand_bits & bit) != 0
+            first_pos = _first_hits(
+                (hit_bits & bit) != 0, grp_of_arc, offs, cand_groups.size
+            )
+            # Early exit per lane: first hit + 1, the full group when the
+            # lane scanned it dry, nothing when the lane wasn't pulling
+            # this destination at all.
+            scanned_lane = np.where(
+                first_pos >= 0,
+                first_pos + 1,
+                np.where(lane_cand, lens, 0),
+            )
+            np.maximum(scanned_max, scanned_lane, out=scanned_max)
+            hit_groups = np.flatnonzero(first_pos >= 0)
+            if hit_groups.size == 0:
+                continue
+            # Each lane's winners by exactly the :meth:`pull_scan` rule.
+            g_dst = self.grp_dst[cand_groups[hit_groups]]
+            g_src = self._pull_src[starts[hit_groups] + first_pos[hit_groups]]
+            g_rank = self.grp_rank[cand_groups[hit_groups]]
+            order = np.lexsort((g_rank, g_dst))
+            g_dst, g_rank, g_src = g_dst[order], g_rank[order], g_src[order]
+            uniq, first = np.unique(g_dst, return_index=True)
+            updates.append((lane, uniq, g_src[first]))
+            win_dst.append(uniq)
+            win_rank.append(g_rank[first])
+
+        scanned_per_rank = np.bincount(
+            self.grp_rank[cand_groups], weights=scanned_max,
+            minlength=self.num_ranks,
+        ).astype(np.int64)
+        if not win_dst:
+            return LanePullScan(updates, scanned_per_rank, empty, empty)
+        all_dst = np.concatenate(win_dst)
+        all_rank = np.concatenate(win_rank)
+        # One wire message per unique (dst, rank) pair — the lane word
+        # rides along, so overlapping lanes share the message.
+        key = all_dst * np.int64(self.num_ranks) + all_rank
+        _, first = np.unique(key, return_index=True)
+        return LanePullScan(
+            updates, scanned_per_rank, all_dst[first], all_rank[first]
         )
-        updates, msg_dst, msg_rank = dedup_lane_hits(lane_hits, self.num_ranks)
-        return LanePullScan(updates, scanned_per_rank, msg_dst, msg_rank)
+
+
+def _run_offsets(lens: np.ndarray) -> np.ndarray:
+    """Each element's position within its run, for runs of ``lens``
+    laid end to end."""
+    total = int(lens.sum())
+    return np.arange(total, dtype=np.int64) - np.repeat(
+        np.cumsum(lens) - lens, lens
+    )
+
+
+def _group_of_arc(lens: np.ndarray) -> np.ndarray:
+    """Each element's run index, for runs of ``lens`` laid end to end."""
+    return np.repeat(np.arange(lens.size, dtype=np.int64), lens)
+
+
+def _first_hits(hit, grp_of_arc, offs, num_groups: int) -> np.ndarray:
+    """Position of the first ``hit`` arc within each of ``num_groups``
+    runs (-1 where a run has none)."""
+    first_pos = np.full(num_groups, -1, dtype=np.int64)
+    if np.any(hit):
+        hit_idx = np.flatnonzero(hit)
+        holder = np.full(num_groups, offs.size + 1, dtype=np.int64)
+        np.minimum.at(holder, grp_of_arc[hit_idx], offs[hit_idx])
+        found = holder <= offs.size
+        first_pos[found] = holder[found]
+    return first_pos
 
 
 # ----------------------------------------------------------------------

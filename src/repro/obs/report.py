@@ -43,7 +43,6 @@ __all__ = [
     "MetricDelta",
     "config_fingerprint",
     "wallclock_metrics",
-    "worker_telemetry_metrics",
     "report_from_bfs",
     "report_from_graph500",
     "report_from_serve",
@@ -75,7 +74,7 @@ def wallclock_metrics(tracer, *, num_edges: int | None = None) -> dict:
     Every traversal (sequential BFS, vertex program, batched wave) opens
     one ``category="bfs"`` span, stamped against the host's
     ``perf_counter`` alongside the simulated clock; their wall time is
-    where an execution backend's real parallelism shows up, while every
+    what the host really spent traversing, while every
     ``seconds``/``gteps`` metric stays pinned to the simulated machine.
     With ``num_edges``, a derived ``wallclock.gteps`` reports how fast
     the host actually traversed (edges per traversal x traversals /
@@ -97,63 +96,6 @@ def wallclock_metrics(tracer, *, num_edges: int | None = None) -> dict:
         out["wallclock.gteps"] = (
             float(num_edges) * len(spans) / seconds / 1e9
         )
-    return out
-
-
-def worker_telemetry_metrics(registry) -> dict:
-    """``worker.*`` metrics from a parallel backend's telemetry.
-
-    Reads the ``worker_busy_seconds`` / ``worker_idle_seconds`` /
-    ``worker_tasks`` counter families and the per-dispatch
-    ``worker_chunk_skew`` histogram that a telemetry-attached shared-
-    memory backend populates.  Per worker ``w``, ``worker.utilization.w``
-    is busy / (busy + idle + attach) — the fraction of its measured
-    lifetime spent in chunk bodies.  ``worker.chunk_skew_mean`` averages
-    the per-dispatch max/mean busy-time ratio (1.0 = perfectly balanced
-    chunks).  Empty when no worker telemetry was recorded.
-    """
-    from repro.obs.metrics import MetricsRegistry
-
-    if not isinstance(registry, MetricsRegistry):
-        return {}
-    families = registry.families()
-    if "worker_busy_seconds" not in families:
-        return {}
-    busy: dict[str, float] = {}
-    idle: dict[str, float] = {}
-    attach: dict[str, float] = {}
-    tasks: dict[str, float] = {}
-    for target, family in (
-        (busy, "worker_busy_seconds"),
-        (idle, "worker_idle_seconds"),
-        (attach, "worker_attach_seconds"),
-        (tasks, "worker_tasks"),
-    ):
-        if family not in families:
-            continue
-        for labels, inst in registry.samples(family):
-            wid = str(labels.get("worker", "?"))
-            target[wid] = target.get(wid, 0.0) + float(inst.value)
-    out: dict = {
-        "worker.count": float(len(busy)),
-        "worker.busy_seconds_total": float(sum(busy.values())),
-        "worker.tasks_total": float(sum(tasks.values())),
-    }
-    for wid in sorted(busy, key=lambda w: (len(w), w)):
-        span = busy[wid] + idle.get(wid, 0.0) + attach.get(wid, 0.0)
-        out[f"worker.busy_seconds.{wid}"] = float(busy[wid])
-        out[f"worker.utilization.{wid}"] = (
-            float(busy[wid] / span) if span > 0.0 else 0.0
-        )
-    if "worker_chunk_skew" in families:
-        total = count = 0.0
-        for _labels, inst in registry.samples("worker_chunk_skew"):
-            s = inst.summary()
-            total += float(s.get("sum", 0.0))
-            count += float(s.get("count", 0.0))
-        if count:
-            out["worker.chunk_skew_mean"] = total / count
-            out["worker.dispatches"] = count
     return out
 
 
@@ -336,7 +278,6 @@ def report_from_bfs(
     config=None,
     context: dict | None = None,
     tracer=None,
-    backend=None,
 ) -> RunReport:
     """Build a :class:`RunReport` from one BFS run.
 
@@ -344,14 +285,10 @@ def report_from_bfs(
     the :class:`~repro.core.config.BFSConfig` it ran under (folded into
     the fingerprint); ``context`` any extra fingerprinted facts (scale,
     mesh shape, seed, root).  Pass the run's ``tracer`` to add the
-    ``wallclock.*`` section and its execution ``backend`` to fold the
-    backend name and worker count into the fingerprinted context.
+    ``wallclock.*`` section.
     """
     ledger = result.ledger
     ctx = _context(name, config, context)
-    if backend is not None:
-        for key, value in backend.describe().items():
-            ctx.setdefault(key, value)
     metrics = {
         "gteps": float(result.simulated_gteps()),
         "total_seconds": float(result.total_seconds),
@@ -385,7 +322,6 @@ def report_from_graph500(
     config=None,
     context: dict | None = None,
     tracer=None,
-    backend=None,
 ) -> RunReport:
     """Build a :class:`RunReport` from a full Graph500 benchmark run.
 
@@ -395,9 +331,6 @@ def report_from_graph500(
     per-root shapes are near-identical on an R-MAT graph).
     """
     ctx = _context(name, config, context)
-    if backend is not None:
-        for key, value in backend.describe().items():
-            ctx.setdefault(key, value)
     ctx.setdefault("scale", int(report.problem.scale))
     ctx.setdefault("num_nodes", int(report.num_nodes))
     ctx.setdefault("num_roots", int(report.roots.size))

@@ -167,7 +167,6 @@ class ReplayBFS(SchedulerHost):
         machine: MachineSpec | None = None,
         tracer: Tracer | None = None,
         metrics=None,
-        backend=None,
     ) -> None:
         self.part = part
         self.mesh: ProcessMesh = part.mesh
@@ -185,7 +184,7 @@ class ReplayBFS(SchedulerHost):
             name: _ReplayKernel(self, name) for name in COMPONENT_ORDER
         }
         self.scheduler = LevelSyncScheduler(
-            self, self.kernels, tracer=tracer, metrics=metrics, backend=backend
+            self, self.kernels, tracer=tracer, metrics=metrics
         )
 
         # Per-component arcs grouped by owning rank, precomputed once.

@@ -46,19 +46,16 @@ def build_serving_pair(
     seed: int,
     e_threshold: int | None = None,
     h_threshold: int | None = None,
-    backend=None,
     tracer=None,
     metrics=None,
 ):
     """Build the (sequential engine, batch engine) pair over one graph.
 
     Both share the partition, machine model, and config, so any cost
-    difference between them is the batching itself.  A ``backend`` is
-    shared by both engines (mounting is additive and deduplicated by
-    component, so the pair costs one set of shared segments).
+    difference between them is the batching itself.
     ``tracer``/``metrics`` (optional) attach to the batched engine —
-    the serving side — so worker telemetry and scheduler spans land in
-    the caller's sinks.
+    the serving side — so its scheduler spans and metric families land
+    in the caller's sinks.
     """
     from repro.analysis.experiments import tuned_thresholds
     from repro.core.config import BFSConfig
@@ -84,17 +81,13 @@ def build_serving_pair(
         e_threshold=e_threshold, h_threshold=h_threshold,
     )
     config = BFSConfig(e_threshold=e_threshold, h_threshold=h_threshold)
-    sequential = DistributedBFS(
-        part, machine=machine, config=config, backend=backend
-    )
+    sequential = DistributedBFS(part, machine=machine, config=config)
     extra = {}
     if tracer is not None:
         extra["tracer"] = tracer
     if metrics is not None:
         extra["metrics"] = metrics
-    batched = MultiSourceBFS(
-        part, machine=machine, config=config, backend=backend, **extra
-    )
+    batched = MultiSourceBFS(part, machine=machine, config=config, **extra)
     return sequential, batched
 
 

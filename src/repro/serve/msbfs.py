@@ -188,7 +188,6 @@ class MultiSourceBFS(SchedulerHost):
         config: BFSConfig = BFSConfig(),
         tracer: Tracer | None = None,
         metrics=None,
-        backend=None,
     ) -> None:
         self.part = part
         self.mesh = part.mesh
@@ -206,7 +205,7 @@ class MultiSourceBFS(SchedulerHost):
         self.ctx = FifteenDContext(part, machine, config)
         self.kernels = build_fifteend_kernels(self.ctx, COMPONENT_ORDER)
         self.scheduler = LevelSyncScheduler(
-            self, self.kernels, tracer=tracer, metrics=metrics, backend=backend
+            self, self.kernels, tracer=tracer, metrics=metrics
         )
         self.lane_class_state = LaneClassState(self.ctx.masks)
 

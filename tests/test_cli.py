@@ -215,45 +215,6 @@ class TestMainEntryPoint:
         assert "expected key=value" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_unknown_backend_exits_two_with_usage(self):
-        proc = self._run("bfs", "--scale", "10", "--mesh", "2x2",
-                         "--backend", "cuda")
-        assert proc.returncode == 2
-        assert "usage:" in proc.stderr
-        assert "invalid choice" in proc.stderr
-        assert "Traceback" not in proc.stderr
-
-    def test_nonpositive_workers_exits_two_with_usage(self):
-        proc = self._run("bfs", "--scale", "10", "--mesh", "2x2",
-                         "--backend", "shmem", "--workers", "0")
-        assert proc.returncode == 2
-        assert "usage:" in proc.stderr
-        assert "workers must be >= 1" in proc.stderr
-        assert "Traceback" not in proc.stderr
-
-
-class TestBackendFlags:
-    """--backend/--workers wiring on the in-process entry point."""
-
-    def test_bfs_shmem_backend_runs(self, capsys):
-        rc = main(["bfs", "--scale", "10", "--mesh", "2x2",
-                   "--backend", "shmem", "--workers", "2"])
-        assert rc == 0
-        assert "visited" in capsys.readouterr().out
-
-    def test_shmem_matches_simulated_output(self, capsys):
-        argv = ["bfs", "--scale", "10", "--mesh", "2x2", "--seed", "7"]
-        assert main(argv) == 0
-        sim_out = capsys.readouterr().out
-        assert main(argv + ["--backend", "shmem", "--workers", "2"]) == 0
-        assert capsys.readouterr().out == sim_out
-
-    def test_graph500_accepts_backend(self, capsys):
-        rc = main(["graph500", "--scale", "10", "--mesh", "2x2",
-                   "--roots", "2", "--backend", "shmem", "--workers", "2"])
-        assert rc == 0
-        assert "validation: PASSED" in capsys.readouterr().out
-
 
 class TestReportAndCompare:
     def _write_report(self, path, **kwargs):

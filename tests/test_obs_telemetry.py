@@ -1,10 +1,7 @@
 """The observability additions behind the live telemetry plane.
 
-Worker-shipped wall spans (``record_external``), the deterministic
-Chrome-trace track table, the ring-buffer sampler, the SLO burn-rate
-monitor, the Prometheus exposition format, and the shmem backend's
-per-worker telemetry — including the acceptance reconciliation between
-per-worker chunk spans and the ``worker_busy_seconds`` counters.
+The deterministic Chrome-trace track table, the ring-buffer sampler, the
+SLO burn-rate monitor, and the Prometheus exposition format.
 """
 
 import json
@@ -14,7 +11,6 @@ import pytest
 
 from repro.obs.export import build_track_table, to_chrome_trace
 from repro.obs.metrics import (
-    NULL_METRICS,
     PROMETHEUS_CONTENT_TYPE,
     MetricsRegistry,
     to_prometheus_text,
@@ -25,7 +21,7 @@ from repro.obs.slo import (
     parse_slo_spec,
 )
 from repro.obs.timeline import TelemetrySampler
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import Tracer
 from repro.serve.service import LATENCY_BUCKETS
 
 
@@ -41,35 +37,6 @@ class FakeClock:
 
 
 # ----------------------------------------------------------------------
-# record_external: worker-shipped wall spans
-# ----------------------------------------------------------------------
-
-
-class TestRecordExternal:
-    def test_wall_only_span(self):
-        tracer = Tracer()
-        sp = tracer.record_external(
-            "chunk", wall_start=10.0, wall_end=10.5, worker=3, op="push",
-            counters={"busy_seconds": 0.5},
-        )
-        assert sp.category == "worker"
-        assert sp.wall_seconds == pytest.approx(0.5)
-        assert sp.attrs["worker"] == 3
-        assert sp.counters["busy_seconds"] == pytest.approx(0.5)
-        # External work never advances the simulated clock.
-        assert sp.sim_seconds == 0.0
-
-    def test_rejects_negative_interval(self):
-        with pytest.raises(ValueError):
-            Tracer().record_external("x", wall_start=2.0, wall_end=1.0)
-
-    def test_null_tracer_noop(self):
-        NULL_TRACER.record_external("x", wall_start=0.0, wall_end=1.0)
-        assert len(NULL_TRACER.spans) == 0
-        assert not NULL_TRACER.enabled
-
-
-# ----------------------------------------------------------------------
 # track table (satellite: no more hardcoded pid 0 / tid 0)
 # ----------------------------------------------------------------------
 
@@ -79,10 +46,11 @@ class TestTrackTable:
         tracer = Tracer()
         with tracer.span("bfs", category="bfs"):
             pass
-        tracer.record_external("chunk", wall_start=0.0, wall_end=1.0,
-                               worker=1)
-        tracer.record_external("chunk", wall_start=0.0, wall_end=1.0,
-                               worker=0)
+        # Rank 10 opens before rank 2: lanes must still sort numerically.
+        with tracer.span("rank_work", category="rank", rank=10):
+            pass
+        with tracer.span("rank_work", category="rank", rank=2):
+            pass
         with tracer.span("msbfs", category="msbfs", trace_id="req-000001"):
             pass
         return tracer
@@ -92,11 +60,14 @@ class TestTrackTable:
         table = build_track_table(tracer.spans)
         # Same set of tracks -> same table, regardless of span order.
         assert table == build_track_table(list(reversed(tracer.spans)))
-        assert table[("main", 0)][0] != table[("worker", 0)][0]
-        # Workers sort numerically into tids on one pid.
-        w0, w1 = table[("worker", 0)], table[("worker", 1)]
-        assert w0[0] == w1[0] and w0[1] == 0 and w1[1] == 1
+        assert table[("main", 0)][0] != table[("rank", 2)][0]
+        # Ranks sort numerically into tids on one pid.
+        r2, r10 = table[("rank", 2)], table[("rank", 10)]
+        assert r2[0] == r10[0] and r2[1] == 0 and r10[1] == 1
         assert ("request", "req-000001") in table
+        assert table[("request", "req-000001")][0] not in (
+            table[("main", 0)][0], r2[0]
+        )
 
     def test_chrome_trace_tracks_and_metadata(self):
         tracer = self._spans()
@@ -106,11 +77,13 @@ class TestTrackTable:
             (e["pid"], e.get("tid")): e["args"]["name"]
             for e in meta if e["name"] == "thread_name"
         }
-        assert "worker 0" in names.values()
-        assert "worker 1" in names.values()
+        assert "rank 2" in names.values()
+        assert "rank 10" in names.values()
+        assert "request req-000001" in names.values()
         events = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         pids = {e["name"]: (e["pid"], e["tid"]) for e in events}
-        assert pids["chunk"][0] != pids["bfs"][0]
+        assert pids["rank_work"][0] != pids["bfs"][0]
+        assert pids["msbfs"][0] not in (pids["bfs"][0], pids["rank_work"][0])
         assert "tracks" in doc["otherData"]
 
 
@@ -139,19 +112,6 @@ class TestTelemetrySampler:
         assert len(sampler.samples) == 2  # ring capacity
         assert sampler.taken == 4
         assert sampler.to_dict()["taken"] == 4
-
-    def test_worker_utilization_delta(self):
-        clock = FakeClock()
-        reg = MetricsRegistry()
-        busy = reg.counter("worker_busy_seconds", worker=0)
-        sampler = TelemetrySampler(reg, clock=clock)
-        sampler.sample()
-        busy.inc(0.5)
-        clock.advance(1.0)
-        snap = sampler.sample()
-        util = snap["derived"]["worker_utilization"]
-        assert util["0"] == pytest.approx(0.5)
-        assert snap["derived"]["worker_utilization_mean"] == pytest.approx(0.5)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -309,113 +269,6 @@ class TestPrometheusExposition:
 
 
 # ----------------------------------------------------------------------
-# shmem worker telemetry: the acceptance reconciliation
-# ----------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def traversal_system():
-    from repro.core import partition_graph
-    from repro.graph500.rmat import generate_edges
-    from repro.machine.network import MachineSpec
-    from repro.runtime.mesh import ProcessMesh
-
-    src, dst = generate_edges(9, seed=7)
-    machine = MachineSpec(num_nodes=4, nodes_per_supernode=2)
-    mesh = ProcessMesh(2, 2, machine=machine)
-    part = partition_graph(
-        src, dst, 1 << 9, mesh, e_threshold=128, h_threshold=16
-    )
-    return part, machine
-
-
-class TestWorkerTelemetry:
-    def _run(self, part, machine, *, workers, tracer=None, metrics=None):
-        from repro.core.engine import DistributedBFS
-        from repro.runtime.backends import SharedMemoryBackend
-
-        with SharedMemoryBackend(workers=workers) as backend:
-            engine = DistributedBFS(
-                part, machine=machine, backend=backend,
-                **({"tracer": tracer} if tracer else {}),
-                **({"metrics": metrics} if metrics else {}),
-            )
-            return engine.run(1)
-
-    def test_one_track_per_worker_and_busy_reconciliation(
-        self, traversal_system
-    ):
-        part, machine = traversal_system
-        tracer, metrics = Tracer(), MetricsRegistry()
-        self._run(part, machine, workers=4, tracer=tracer, metrics=metrics)
-
-        chunk_spans = [sp for sp in tracer.spans if sp.name == "chunk"]
-        assert chunk_spans, "workers recorded no chunk spans"
-        workers_seen = sorted({sp.attrs["worker"] for sp in chunk_spans})
-        # One Chrome-trace track per worker that did work.
-        doc = to_chrome_trace(tracer, clock="wall")
-        tracks = doc["otherData"]["tracks"]
-        for wid in workers_seen:
-            assert f"worker {wid}" in tracks.values()
-
-        # ISSUE acceptance: per-worker chunk spans sum to the
-        # worker_busy_seconds counter within 1% (identical floats by
-        # construction, so this holds exactly).
-        span_busy = {}
-        for sp in chunk_spans:
-            wid = sp.attrs["worker"]
-            span_busy[wid] = (
-                span_busy.get(wid, 0.0) + sp.counters["busy_seconds"]
-            )
-        for (labels, inst) in metrics.samples("worker_busy_seconds"):
-            wid = labels["worker"]
-            assert span_busy[int(wid)] == pytest.approx(
-                inst.value, rel=0.01
-            )
-        # Tasks counted per worker/op.
-        total_tasks = metrics.counter_total("worker_tasks")
-        assert total_tasks == len(chunk_spans)
-        # Skew histogram observed once per dispatch.
-        skews = metrics.samples("worker_chunk_skew")
-        assert skews and skews[0][1].count > 0
-
-    def test_telemetry_does_not_change_results(self, traversal_system):
-        part, machine = traversal_system
-        bare = self._run(part, machine, workers=2)
-        metered = self._run(
-            part, machine, workers=2,
-            tracer=Tracer(), metrics=MetricsRegistry(),
-        )
-        assert np.array_equal(bare.parent, metered.parent)
-        assert bare.total_seconds == metered.total_seconds
-        assert bare.ledger.total_bytes == metered.ledger.total_bytes
-
-    def test_null_sinks_record_nothing(self, traversal_system):
-        part, machine = traversal_system
-        self._run(part, machine, workers=2)
-        assert len(NULL_TRACER.spans) == 0
-        assert not NULL_METRICS.enabled
-
-    def test_worker_telemetry_metrics_helper(self, traversal_system):
-        from repro.obs.report import worker_telemetry_metrics
-
-        part, machine = traversal_system
-        metrics = MetricsRegistry()
-        self._run(part, machine, workers=2, metrics=metrics)
-        telem = worker_telemetry_metrics(metrics)
-        assert telem["worker.count"] >= 1
-        assert telem["worker.busy_seconds_total"] > 0
-        assert telem["worker.tasks_total"] > 0
-        for key in telem:
-            if key.startswith("worker.utilization."):
-                assert 0.0 <= telem[key] <= 1.0
-        assert telem.get("worker.chunk_skew_mean", 0.0) >= 1.0
-        # Helper is empty for registries without worker telemetry.
-        assert worker_telemetry_metrics(MetricsRegistry()) == {}
-        assert worker_telemetry_metrics(NULL_METRICS) == {}
-
-
-# ----------------------------------------------------------------------
 # chrome trace JSON stays loadable end to end
 # ----------------------------------------------------------------------
 
@@ -424,9 +277,13 @@ def test_trace_json_round_trip(tmp_path):
     from repro.obs.export import write_chrome_trace
 
     tracer = Tracer()
-    tracer.record_external("chunk", wall_start=0.0, wall_end=0.25, worker=0)
+    with tracer.span("msbfs", category="msbfs", trace_id="req-000001"):
+        with tracer.span("rank_work", category="rank", rank=0):
+            pass
     path = tmp_path / "nested" / "trace.json"
     count = write_chrome_trace(tracer, path, clock="wall")
-    assert count == 1
+    assert count == 2
     doc = json.loads(path.read_text())
-    assert any(e["ph"] == "X" for e in doc["traceEvents"])
+    events = {e["name"]: e for e in doc["traceEvents"] if e["ph"] == "X"}
+    assert set(events) == {"msbfs", "rank_work"}
+    assert events["rank_work"]["pid"] != events["msbfs"]["pid"]

@@ -232,6 +232,15 @@ class TestObservability:
         assert registry.counter_total("edges_scanned") > 0
         assert tracer.counter_total("bytes") == res.ledger.total_bytes
 
+        # Tracing and metering observe the run without changing it: the
+        # same program untraced is bit-identical.
+        bare = DistributedBFS(part, machine=machine).run_program(
+            ConnectedComponentsProgram()
+        )
+        assert np.array_equal(bare.state["labels"], res.state["labels"])
+        assert repr(bare.total_seconds) == repr(res.total_seconds)
+        assert repr(bare.ledger.total_bytes) == repr(res.ledger.total_bytes)
+
     def test_report_from_program_tracks_info_scalars(self, system):
         from repro.obs.report import RUN_REPORT_SCHEMA, report_from_program
 
