@@ -51,13 +51,13 @@ sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from repro.analysis.reporting import ascii_table  # noqa: E402
-from repro.cluster import (  # noqa: E402
-    TenantSpec,
-    build_registry,
-    run_cluster_session,
-)
+from repro.cluster import ClusterService, TenantSpec, build_registry  # noqa: E402
 from repro.obs.metrics import MetricsRegistry  # noqa: E402
-from repro.serve.workload import make_diurnal_workload  # noqa: E402
+from repro.serve.workload import (  # noqa: E402
+    make_diurnal_workload,
+    run_cluster_workload,
+    run_session,
+)
 
 SCALE = 9
 ROWS = COLS = 2
@@ -133,11 +133,12 @@ def _session(workload, *, quota=None, replicas=REPLICAS, expected=None,
     registry = build_registry(_specs(quota))
     metrics = MetricsRegistry()
     t0 = time.perf_counter()
-    report, cluster = run_cluster_session(
-        registry, workload,
-        replicas=replicas, expected=expected, time_scale=time_scale,
-        max_shed_retries=max_shed_retries, kill_at=kill_at,
-        metrics=metrics,
+    report, cluster = run_session(
+        lambda: ClusterService(registry, replicas=replicas, metrics=metrics),
+        lambda cluster: run_cluster_workload(
+            cluster, workload, expected=expected, time_scale=time_scale,
+            max_shed_retries=max_shed_retries, kill_at=kill_at,
+        ),
     )
     elapsed = time.perf_counter() - t0
     return report, cluster, registry, metrics, elapsed

@@ -13,8 +13,7 @@ Run:  python examples/algorithms_beyond_bfs.py
 import numpy as np
 
 from repro.analysis.reporting import ascii_table, format_seconds
-from repro.core import partition_graph
-from repro.core.algorithms import generate_weights, pagerank, sssp
+from repro.core import generate_weights, pagerank, partition_graph, sssp
 from repro.graph500.rmat import generate_edges
 from repro.machine.network import MachineSpec
 from repro.runtime.mesh import ProcessMesh

@@ -29,9 +29,6 @@ Subcommands mirror the library's experiment drivers:
   quotas and SLOs, driven by a seeded diurnal workload; ``--smoke`` runs
   the pinned slo-smoke gate (validation plus a mid-run replica kill
   drill).
-- ``bench-serve`` — the serving benchmark: the deterministic
-  amortization sweep (batched vs sequential simulated cost per query)
-  plus an end-to-end wall-clock service sweep.
 
 ``graph500`` and ``bfs`` accept the resilience flags ``--faults SPEC``
 (see :mod:`repro.resilience.faults` for the grammar), ``--checkpoint-every
@@ -101,7 +98,7 @@ def _damping_arg(value: str) -> float:
 
 def _positive_int(name: str):
     """An argparse ``type`` parsing an integer ``name`` that must be >= 1
-    (``--replicas``, ``--quota``)."""
+    (``--queries``, ``--clients``, ``--replicas``, ``--quota``)."""
 
     def parse(value: str) -> int:
         try:
@@ -303,9 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve a seeded query workload through the batched "
              "traversal service",
     )
-    serve.add_argument("--queries", type=int, default=256,
+    serve.add_argument("--queries", type=_positive_int("queries"), default=256,
                        help="total queries in the workload")
-    serve.add_argument("--clients", type=int, default=32,
+    serve.add_argument("--clients", type=_positive_int("clients"), default=32,
                        help="concurrent closed-loop clients")
     serve.add_argument("--batch-size", type=int, default=64,
                        help="roots per batch (flush threshold, max 64)")
@@ -382,24 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "kill drill when --replicas >= 2 (the CI "
                             "slo-smoke gate; implies --tenants 3 unless "
                             "given)")
-
-    bserve = sub.add_parser(
-        "bench-serve", parents=[common],
-        help="batched-serving benchmark: amortization + throughput sweep",
-    )
-    bserve.add_argument("--queries", type=int, default=256)
-    bserve.add_argument("--batch-sizes", default="1,4,16,64",
-                        help="comma-separated batch sizes for the "
-                             "amortization sweep")
-    bserve.add_argument("--queue-depths", default="64,256",
-                        help="comma-separated queue depths for the "
-                             "service sweep")
-    bserve.add_argument("--windows", default="0.005",
-                        help="comma-separated batching windows (seconds)")
-    bserve.add_argument("--clients", type=int, default=None,
-                        help="closed-loop clients (default: 2x batch size)")
-    bserve.add_argument("--json", metavar="PATH", default=None,
-                        help="write the sweep as a JSON artifact")
 
     mut = sub.add_parser(
         "mutate", parents=[common],
@@ -1078,9 +1057,7 @@ class _StragglerEngine:
 
 
 def _cmd_serve(args) -> int:
-    import asyncio
     import functools
-    from collections import deque
     from dataclasses import replace
 
     from repro.analysis.reporting import ascii_table, format_seconds
@@ -1091,12 +1068,11 @@ def _cmd_serve(args) -> int:
     from repro.obs.tracer import NULL_TRACER, Tracer
     from repro.serve.service import DEFAULT_TENANT, ClusterService
     from repro.serve.workload import (
-        WorkloadReport,
         make_diurnal_workload,
         make_workload_roots,
         run_cluster_workload,
         run_session,
-        serve_query,
+        run_workload,
     )
 
     rows, cols = args.mesh
@@ -1190,23 +1166,11 @@ def _cmd_serve(args) -> int:
                 service, workload, expected=expected,
                 max_shed_retries=10_000, kill_at=kill_at,
             )
-        # Closed loop: each client keeps one query in flight and retries
-        # sheds, so the offered load follows the service's speed.
-        submit = functools.partial(service.submit, DEFAULT_TENANT)
-        pending = deque(int(r) for r in roots)
-        outcomes = []
-
-        async def client():
-            while pending:
-                outcomes.append(await serve_query(
-                    submit, pending.popleft(), tenant=DEFAULT_TENANT,
-                    expected=None if expected is None
-                    else expected[DEFAULT_TENANT],
-                    max_shed_retries=10_000,
-                ))
-
-        await asyncio.gather(*(client() for _ in range(args.clients)))
-        return WorkloadReport(outcomes=outcomes)
+        return await run_workload(
+            functools.partial(service.submit, DEFAULT_TENANT), roots,
+            clients=args.clients,
+            expected=None if expected is None else expected[DEFAULT_TENANT],
+        )
 
     telemetry = None
     if args.telemetry_port is not None:
@@ -1219,7 +1183,7 @@ def _cmd_serve(args) -> int:
             batch_window=args.batch_window, faults=faults, metrics=metrics,
             tracer=tracer,
         ),
-        drive, telemetry=telemetry, metrics=metrics,
+        drive, telemetry=telemetry,
     )
     report, service = session[:2]
     telem = session[2] if telemetry is not None else None
@@ -1378,81 +1342,6 @@ def _cmd_serve(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_bench_serve(args) -> int:
-    from repro.analysis.reporting import ascii_table
-    from repro.graph500.driver import sample_roots
-    from repro.serve.bench import (
-        amortization_sweep,
-        build_serving_pair,
-        service_sweep,
-    )
-
-    rows, cols = args.mesh
-    sequential, batched = build_serving_pair(
-        args.scale, rows, cols, seed=args.seed,
-        e_threshold=args.e_threshold, h_threshold=args.h_threshold,
-    )
-    batch_sizes = [int(b) for b in args.batch_sizes.split(",") if b.strip()]
-    roots = sample_roots(
-        batched.part.degrees, max(batch_sizes),
-        rng=np.random.default_rng(args.seed),
-    )
-    amort = amortization_sweep(
-        sequential, batched, roots, batch_sizes=batch_sizes
-    )
-    print(ascii_table(
-        ["batch", "sim s/query", "sequential s", "amortization",
-         "bytes ratio", "waves"],
-        [
-            [p.batch_size, f"{p.amortized_seconds:.3e}",
-             f"{p.sequential_seconds:.3e}",
-             f"{p.amortization_factor:.1f}x",
-             f"{p.batch_bytes / p.sequential_bytes:.2f}", p.waves]
-            for p in amort
-        ],
-        title=f"amortized simulated cost per query "
-              f"(SCALE {args.scale}, {rows}x{cols}):",
-    ))
-    depths = [int(d) for d in args.queue_depths.split(",") if d.strip()]
-    windows = [float(w) for w in args.windows.split(",") if w.strip()]
-    points = service_sweep(
-        batched, batched.part.degrees,
-        num_queries=args.queries, seed=args.seed,
-        batch_sizes=(max(batch_sizes),),
-        queue_depths=depths, batch_windows=windows, clients=args.clients,
-    )
-    print()
-    print(ascii_table(
-        ["depth", "window", "served", "hit rate", "mean batch",
-         "qps", "p50", "p99"],
-        [
-            [p.queue_depth, f"{p.batch_window * 1e3:g}ms", p.served,
-             f"{100 * p.cache_hit_rate:.0f}%", f"{p.mean_batch_size:.1f}",
-             f"{p.qps:.0f}", f"{p.p50_seconds * 1e3:.1f}ms",
-             f"{p.p99_seconds * 1e3:.1f}ms"]
-            for p in points
-        ],
-        title=f"end-to-end service sweep ({args.queries} queries):",
-    ))
-    if args.json:
-        import json
-        from pathlib import Path
-
-        out = Path(args.json)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps({
-            "schema": "repro.bench_serve/1",
-            "config": dict(
-                scale=args.scale, rows=rows, cols=cols, seed=args.seed,
-                queries=args.queries,
-            ),
-            "amortization": [p.to_dict() for p in amort],
-            "service": [p.to_dict() for p in points],
-        }, indent=2, sort_keys=True) + "\n")
-        print(f"json: {out}")
-    return 0
-
-
 _COMMANDS = {
     "graph500": _cmd_graph500,
     "bfs": _cmd_bfs,
@@ -1465,7 +1354,6 @@ _COMMANDS = {
     "chaos": _cmd_chaos,
     "mutate": _cmd_mutate,
     "serve": _cmd_serve,
-    "bench-serve": _cmd_bench_serve,
 }
 
 

@@ -12,7 +12,7 @@ replica.  Open-loop diurnal workloads drive it
 (:func:`~repro.serve.workload.run_cluster_workload`).
 """
 
-from repro.serve.workload import run_cluster_session, run_cluster_workload
+from repro.serve.workload import run_cluster_workload
 
 from .router import ClusterRouter, QueueFull
 from .service import ClusterService, IngestReport, ReplicaDown
@@ -39,6 +39,5 @@ __all__ = [
     "build_registry",
     "build_tenant",
     "parse_tenant_spec",
-    "run_cluster_session",
     "run_cluster_workload",
 ]

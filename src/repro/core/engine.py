@@ -187,13 +187,3 @@ class DistributedBFS(SchedulerHost):
         if self.config.delayed_reduction:
             with tracer.span("parent_reduction", category="phase"):
                 self.ctx.charge_parent_reduction(ledger)
-
-    # ------------------------------------------------------------------
-    # back-compat delegates (analytic charge paths, used by cross-checks)
-    # ------------------------------------------------------------------
-
-    def _charge_row_alltoallv(self, name, send_msgs_per_rank, ledger):
-        self.ctx.charge_row_alltoallv(name, send_msgs_per_rank, ledger)
-
-    def _charge_l2l_alltoallv(self, sender_rank, dest_rank, ledger):
-        self.ctx.charge_l2l_alltoallv(sender_rank, dest_rank, ledger)

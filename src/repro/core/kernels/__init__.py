@@ -7,10 +7,10 @@ This package makes that structure first-class:
 
 - :mod:`repro.core.kernels.base` — the :class:`ComponentKernel` contract
   (one object per component: push/pull execution, compute-rate selection,
-  message routing, ledger charging) and the :class:`KernelRegistry`.
+  message routing, ledger charging).
 - :mod:`repro.core.kernels.fifteend` — the six 1.5D kernels and the
-  shared :class:`FifteenDContext` they charge through, registered in
-  :data:`FIFTEEND_KERNELS`.
+  shared :class:`FifteenDContext` they charge through, keyed by
+  component name in :data:`FIFTEEND_KERNELS`.
 - :mod:`repro.core.kernels.scheduler` — :class:`LevelSyncScheduler`, the
   one densest-first sub-iteration loop every engine runs through
   (``DistributedBFS``, ``ReplayBFS``, and the 1D/2D baselines), and the
@@ -21,7 +21,7 @@ partitioning scheme means writing kernels — the loop, the frontier
 semantics, and the tracing shape are shared.
 """
 
-from repro.core.kernels.base import ComponentKernel, KernelRegistry
+from repro.core.kernels.base import ComponentKernel
 from repro.core.kernels.fifteend import (
     FIFTEEND_KERNELS,
     FifteenDContext,
@@ -31,7 +31,6 @@ from repro.core.kernels.scheduler import LevelSyncScheduler, SchedulerHost
 
 __all__ = [
     "ComponentKernel",
-    "KernelRegistry",
     "FifteenDContext",
     "FIFTEEND_KERNELS",
     "build_fifteend_kernels",

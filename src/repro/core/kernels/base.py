@@ -1,4 +1,4 @@
-"""The :class:`ComponentKernel` contract and the kernel registry.
+"""The :class:`ComponentKernel` contract.
 
 A component kernel owns everything one edge component does inside a BFS
 iteration: selecting its direction-specific access path (push CSR or
@@ -21,7 +21,6 @@ from repro.runtime.ledger import TrafficLedger
 
 __all__ = [
     "ComponentKernel",
-    "KernelRegistry",
     "EMPTY_ACTIVATION",
 ]
 
@@ -137,36 +136,3 @@ class ComponentKernel(ABC):
         return (
             type(self).execute_program is not ComponentKernel.execute_program
         )
-
-
-class KernelRegistry:
-    """Component name -> :class:`ComponentKernel` subclass.
-
-    Engines mount a kernel set by instantiating a registry's classes
-    over their components; new components (or replacement kernels for
-    existing ones) register under their component key.
-    """
-
-    def __init__(self) -> None:
-        self._classes: dict[str, type[ComponentKernel]] = {}
-
-    def register(self, name: str):
-        """Class decorator: ``@registry.register("H2L")``."""
-
-        def wrap(cls: type[ComponentKernel]) -> type[ComponentKernel]:
-            if name in self._classes:
-                raise ValueError(f"kernel already registered for {name!r}")
-            cls.name = name
-            self._classes[name] = cls
-            return cls
-
-        return wrap
-
-    def __getitem__(self, name: str) -> type[ComponentKernel]:
-        return self._classes[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._classes
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._classes)

@@ -34,11 +34,7 @@ import numpy as np
 from repro.core.balance import vertex_cut_imbalance
 from repro.core.config import BFSConfig
 from repro.core.direction import ClassState
-from repro.core.kernels.base import (
-    EMPTY_ACTIVATION,
-    ComponentKernel,
-    KernelRegistry,
-)
+from repro.core.kernels.base import EMPTY_ACTIVATION, ComponentKernel
 from repro.core.lanes import iter_lanes, lane_bit
 from repro.core.partition import PartitionedGraph
 from repro.core.segmenting import plan_segmenting
@@ -58,9 +54,6 @@ MESSAGE_BYTES = 8
 #: lane word, so up to 64 lanes share one message where sequential runs
 #: would each send their own.
 LANE_MESSAGE_BYTES = 16
-
-#: The six 1.5D kernels, keyed by component name.
-FIFTEEND_KERNELS = KernelRegistry()
 
 
 class FifteenDContext:
@@ -525,9 +518,10 @@ class _FifteenDKernel(ComponentKernel):
         )
 
 
-@FIFTEEND_KERNELS.register("EH2EH")
 class EH2EHKernel(_FifteenDKernel):
     """The 2D core: node-local, vertex-cut balanced, segmentable."""
+
+    name = "EH2EH"
 
     def push_seconds(self, per_rank, active):
         ctx = self.ctx
@@ -563,14 +557,12 @@ class _LocalKernel(_FifteenDKernel):
         return self.ctx.rates.pull_rate_segmented()
 
 
-@FIFTEEND_KERNELS.register("E2L")
 class E2LKernel(_LocalKernel):
-    pass
+    name = "E2L"
 
 
-@FIFTEEND_KERNELS.register("L2E")
 class L2EKernel(_LocalKernel):
-    pass
+    name = "L2E"
 
 
 class _RowMessageKernel(_FifteenDKernel):
@@ -660,8 +652,9 @@ class _RowMessageKernel(_FifteenDKernel):
         ctx.charge_receiver_kernel(name, recv_rank, ledger, "pull_recv")
 
 
-@FIFTEEND_KERNELS.register("H2L")
 class H2LKernel(_RowMessageKernel):
+    name = "H2L"
+
     def owner_of_dst(self, dst, sender_rank):
         return self.ctx.mesh.owner_of(dst, self.ctx.num_vertices)
 
@@ -703,8 +696,9 @@ class H2LKernel(_RowMessageKernel):
         )
 
 
-@FIFTEEND_KERNELS.register("L2H")
 class L2HKernel(_RowMessageKernel):
+    name = "L2H"
+
     def owner_of_dst(self, dst, sender_rank):
         # Messages go to the intersection rank (sender's row, the H
         # vertex's EH-space column) where the column delegate lives.
@@ -713,9 +707,10 @@ class L2HKernel(_RowMessageKernel):
         return sender_row * ctx.mesh.cols + ctx.part.eh_col[dst]
 
 
-@FIFTEEND_KERNELS.register("L2L")
 class L2LKernel(_FifteenDKernel):
     """Plain-1D light arcs: two-stage forwarded push, query/reply pull."""
+
+    name = "L2L"
 
     def push_seconds(self, per_rank, active):
         ctx = self.ctx
@@ -849,9 +844,16 @@ class L2LKernel(_FifteenDKernel):
         return updates
 
 
+#: The six 1.5D kernel classes, keyed by component name.
+FIFTEEND_KERNELS: dict[str, type[ComponentKernel]] = {
+    cls.name: cls
+    for cls in (EH2EHKernel, E2LKernel, L2EKernel, H2LKernel, L2HKernel, L2LKernel)
+}
+
+
 def build_fifteend_kernels(ctx: FifteenDContext, order) -> dict[str, ComponentKernel]:
-    """Instantiate the registry's kernels over a partition's components,
-    in scheduler execution order (densest first)."""
+    """Instantiate the 1.5D kernels over a partition's components, in
+    scheduler execution order (densest first)."""
     return {
         name: FIFTEEND_KERNELS[name](ctx, ctx.part.components[name])
         for name in order

@@ -12,11 +12,12 @@ Layers (each usable on its own):
   :class:`~repro.serve.service.TraversalService`: bounded queue,
   batching window, typed ``Overloaded`` shedding, latency histograms,
   crash replay.
-- :mod:`repro.serve.workload` — the seeded closed-loop client generator
-  the CI smoke and benchmarks drive the service with.
+- :mod:`repro.serve.workload` — the seeded workloads, the closed-loop
+  and open-loop drivers, and the ``run_session`` runner the CI smokes
+  and benchmarks drive the service with.
 - :mod:`repro.serve.telemetry` — the live scrape surface: an asyncio
   HTTP endpoint exposing ``/metrics`` (Prometheus text), ``/healthz``,
-  ``/slo``, ``/timeline``, and per-request ``/trace/<id>``.
+  ``/tenants``, ``/slo``, ``/timeline``, and per-request ``/trace/<id>``.
 """
 
 from repro.serve.cache import ResultCache, fingerprint_graph

@@ -1,8 +1,7 @@
 """Serving benchmark core: amortization and throughput sweeps.
 
-Shared by ``python -m repro bench-serve`` and
-``benchmarks/bench_serve_throughput.py`` (which commits the
-``BENCH_serve.json`` artifact) so both measure the same way.
+Driven by ``benchmarks/bench_serve_throughput.py``, which commits the
+``BENCH_serve.json`` artifact.
 
 Two layers, deliberately separate:
 
@@ -27,7 +26,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from repro.serve.workload import make_workload_roots, run_serving_session
+from repro.serve.service import TraversalService
+from repro.serve.workload import make_workload_roots, run_session, run_workload
 
 __all__ = [
     "AmortizationPoint",
@@ -212,10 +212,15 @@ def service_sweep(
                 n_clients = clients if clients is not None else 2 * b
                 n_clients = max(1, min(n_clients, num_queries))
                 t0 = time.monotonic()
-                report, service = run_serving_session(
-                    batched, roots,
-                    clients=n_clients, expected=expected,
-                    batch_size=b, queue_depth=depth, batch_window=window,
+                report, service = run_session(
+                    lambda: TraversalService(
+                        batched, batch_size=b, queue_depth=depth,
+                        batch_window=window,
+                    ),
+                    lambda service: run_workload(
+                        service.submit, roots,
+                        clients=n_clients, expected=expected,
+                    ),
                 )
                 wall = time.monotonic() - t0
                 stats = service.stats

@@ -429,6 +429,11 @@ class ClusterService:
         return ServeStats.merged(tenant.stats for tenant in self.registry)
 
     @property
+    def metrics(self):
+        """The registry the service writes its ``serve_*`` families to."""
+        return self._metrics
+
+    @property
     def pending(self) -> int:
         return self.router.pending + self._inflight
 

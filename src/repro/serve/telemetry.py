@@ -1,36 +1,28 @@
 """The service's live telemetry endpoint: a minimal asyncio HTTP server.
 
-Runs next to a :class:`~repro.serve.service.ClusterService` (or a
-single-graph :class:`~repro.serve.service.TraversalService`) on its
-event loop and exposes the observability surface to scrapers:
+Runs next to a :class:`~repro.serve.service.ClusterService` (a
+single-graph :class:`~repro.serve.service.TraversalService` is one with
+the one tenant ``default``) on its event loop and exposes the
+observability surface to scrapers:
 
-============  =========================================================
-path          payload
-============  =========================================================
-``/metrics``  Prometheus text exposition — byte-identical to
-              :func:`~repro.obs.metrics.to_prometheus_text` over the
-              service's registry (pinned by test)
-``/healthz``  liveness JSON: status, uptime, queue/request counters
-``/slo``      :meth:`~repro.obs.slo.SLOMonitor.evaluate` document
-              (``status: disabled`` when no monitor is attached)
-``/timeline``  the sampler's snapshot ring
-              (``status: disabled`` when no sampler is attached)
-``/trace/<id>``  one request's staged
-              :class:`~repro.serve.service.RequestTimeline` (404 once
-              aged out)
-============  =========================================================
-
-When built with ``cluster=`` a :class:`~repro.serve.service.ClusterService`
-(usually the same object as ``service``), two per-tenant views appear and
-``/slo`` changes shape:
-
-================  =====================================================
-``/tenants``      per-tenant queue depth/quota/weight/deficit, serving
-                  counters, percentiles, and replica liveness
-``/slo``          tenant id -> that tenant's
-                  :meth:`~repro.obs.slo.SLOMonitor.evaluate` document
-``/slo/<tenant>`` one tenant's SLO document (404 for unknown tenants)
-================  =====================================================
+=================  ====================================================
+path               payload
+=================  ====================================================
+``/metrics``       Prometheus text exposition — byte-identical to
+                   :func:`~repro.obs.metrics.to_prometheus_text` over
+                   the service's registry (pinned by test)
+``/healthz``       liveness JSON: status, uptime, queue/request counters
+``/tenants``       per-tenant queue depth/quota/weight/deficit, serving
+                   counters, percentiles, and replica liveness
+``/slo``           tenant id -> that tenant's
+                   :meth:`~repro.obs.slo.SLOMonitor.evaluate` document
+``/slo/<tenant>``  one tenant's SLO document (404 for unknown tenants)
+``/timeline``      the sampler's snapshot ring
+                   (``status: disabled`` when no sampler is attached)
+``/trace/<id>``    one request's staged
+                   :class:`~repro.serve.service.RequestTimeline` (404
+                   once aged out)
+=================  ====================================================
 
 HTTP support is deliberately tiny — GET only, one response per
 connection (``Connection: close``) — which is all ``curl``, Prometheus,
@@ -52,26 +44,18 @@ _MAX_REQUEST_BYTES = 16384
 
 
 class TelemetryServer:
-    """Serves a :class:`TraversalService`'s telemetry over HTTP."""
+    """Serves a :class:`ClusterService`'s telemetry over HTTP."""
 
     def __init__(
         self,
         service,
-        registry,
         *,
         host: str = "127.0.0.1",
         port: int = 0,
         sampler=None,
-        slo_monitor=None,
-        cluster=None,
     ) -> None:
         self.service = service
-        self.registry = registry
         self.sampler = sampler
-        self.slo_monitor = slo_monitor
-        #: Multi-tenant mode: the owning ClusterService (enables the
-        #: /tenants and per-tenant /slo views).
-        self.cluster = cluster
         self._host = host
         self._port = int(port)
         self._server: asyncio.AbstractServer | None = None
@@ -155,38 +139,24 @@ class TelemetryServer:
             return 405, "text/plain", b"method not allowed\n"
         path = target.split("?", 1)[0]
         if path == "/metrics":
-            text = to_prometheus_text(self.registry)
+            text = to_prometheus_text(self.service.metrics)
             return 200, PROMETHEUS_CONTENT_TYPE, text.encode("utf-8")
         if path == "/healthz":
             return 200, "application/json", _json(self._health())
+        if path == "/tenants":
+            return 200, "application/json", _json(
+                self.service.tenants_snapshot()
+            )
         if path == "/slo":
-            if self.cluster is not None:
-                return 200, "application/json", _json(
-                    self.cluster.slo_status()
-                )
-            if self.slo_monitor is None:
-                return 200, "application/json", _json({"status": "disabled"})
-            return 200, "application/json", _json(self.slo_monitor.evaluate())
+            return 200, "application/json", _json(self.service.slo_status())
         if path.startswith("/slo/"):
-            if self.cluster is None:
-                return 404, "application/json", _json(
-                    {"error": "not a multi-tenant service"}
-                )
             tenant_id = path[len("/slo/"):]
-            monitor = self.cluster.slo_monitors.get(tenant_id)
+            monitor = self.service.slo_monitors.get(tenant_id)
             if monitor is None:
                 return 404, "application/json", _json(
                     {"error": f"unknown tenant {tenant_id!r}"}
                 )
             return 200, "application/json", _json(monitor.evaluate())
-        if path == "/tenants":
-            if self.cluster is None:
-                return 404, "application/json", _json(
-                    {"error": "not a multi-tenant service"}
-                )
-            return 200, "application/json", _json(
-                self.cluster.tenants_snapshot()
-            )
         if path == "/timeline":
             if self.sampler is None:
                 return 200, "application/json", _json({"status": "disabled"})

@@ -5,10 +5,10 @@ Single-graph pieces:
 - :func:`make_workload_roots` — a seeded query stream over the graph's
   non-isolated vertices with a configurable *hot set*, so repeated roots
   exercise the result cache deterministically.
-- :func:`run_workload` — a closed-loop driver: ``clients`` concurrent
-  clients each keep exactly one query in flight, retrying queries the
-  service sheds (``Overloaded`` is backpressure, not failure), so
-  offered load adapts to service speed.
+- :func:`run_workload` — the **closed-loop** driver: ``clients``
+  concurrent clients each keep exactly one query in flight, retrying
+  queries the service sheds (``Overloaded`` is backpressure, not
+  failure), so offered load adapts to service speed.
 
 Multi-tenant pieces (re-exported by :mod:`repro.cluster`):
 
@@ -53,11 +53,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.serve.service import (
-    ClusterService,
+    DEFAULT_TENANT,
     Overloaded,
     ReplicaDown,
     TraversalError,
-    TraversalService,
 )
 
 __all__ = [
@@ -66,9 +65,7 @@ __all__ = [
     "make_diurnal_workload",
     "run_workload",
     "run_cluster_workload",
-    "run_cluster_session",
     "serve_query",
-    "run_serving_session",
     "run_session",
     "QueryOutcome",
     "WorkloadReport",
@@ -277,8 +274,8 @@ class QueryOutcome:
     """One query's journey through a service."""
 
     root: int
-    #: Owning tenant id ("" when driving a single-graph service).
-    tenant: str = ""
+    #: Owning tenant id.
+    tenant: str = DEFAULT_TENANT
     cached: bool = False
     #: ``True``/``False`` when validated against an expected parent
     #: tree, ``None`` when no expectation was supplied.
@@ -360,7 +357,7 @@ class WorkloadReport:
 
     def per_tenant(self) -> "dict[str, WorkloadReport]":
         """Split into per-tenant sub-reports (insertion-ordered by first
-        appearance; single-graph runs collapse to the ``""`` tenant)."""
+        appearance)."""
         split: dict[str, WorkloadReport] = {}
         for o in self.outcomes:
             split.setdefault(o.tenant, WorkloadReport()).outcomes.append(o)
@@ -371,7 +368,7 @@ async def serve_query(
     submit,
     root: int,
     *,
-    tenant: str = "",
+    tenant: str = DEFAULT_TENANT,
     expected: dict | None = None,
     shed_backoff: float = 0.0005,
     max_shed_retries: int = 0,
@@ -420,7 +417,7 @@ async def serve_query(
 
 
 async def run_workload(
-    service: TraversalService,
+    submit,
     roots,
     *,
     clients: int = 4,
@@ -428,11 +425,15 @@ async def run_workload(
     shed_backoff: float = 0.0005,
     max_shed_retries: int = 10_000,
 ) -> WorkloadReport:
-    """Drive ``service`` with a closed loop of ``clients`` clients.
+    """Send ``roots`` through ``await submit(root)`` from a closed loop
+    of ``clients`` clients; outcomes are labelled :data:`DEFAULT_TENANT`.
 
-    Each client keeps one query in flight (see :func:`serve_query`; a
-    shed retries the same root).  ``expected`` maps root → parent array;
-    served responses for those roots are checked bit-for-bit.
+    ``submit`` is the single graph's submit coroutine function: a
+    :class:`~repro.serve.service.TraversalService`'s ``submit``, or
+    ``functools.partial(service.submit, DEFAULT_TENANT)``.  Each client
+    keeps one query in flight (see :func:`serve_query`; a shed retries
+    the same root).  ``expected`` maps root → parent array; served
+    responses for those roots are checked bit-for-bit.
     """
     if clients < 1:
         raise ValueError("clients must be >= 1")
@@ -443,7 +444,7 @@ async def run_workload(
         while pending:
             outcomes.append(
                 await serve_query(
-                    service.submit,
+                    submit,
                     pending.popleft(),
                     expected=expected,
                     shed_backoff=shed_backoff,
@@ -508,37 +509,6 @@ async def run_cluster_workload(
     return WorkloadReport(outcomes=outcomes)
 
 
-def run_cluster_session(
-    registry,
-    workload: ClusterWorkload,
-    *,
-    replicas: int = 2,
-    expected: dict | None = None,
-    time_scale: float = 1.0,
-    max_shed_retries: int = 0,
-    kill_at: tuple[str, int] | None = None,
-    telemetry: dict | None = None,
-    **cluster_kwargs,
-):
-    """:func:`~repro.serve.workload.run_session` of ``workload``,
-    dispatched open-loop, against a :class:`ClusterService` over
-    ``registry`` (``telemetry`` keys as there; the cluster's per-tenant
-    SLO monitors back ``/slo``)."""
-    return run_session(
-        lambda: ClusterService(registry, replicas=replicas, **cluster_kwargs),
-        lambda cluster: run_cluster_workload(
-            cluster,
-            workload,
-            time_scale=time_scale,
-            expected=expected,
-            max_shed_retries=max_shed_retries,
-            kill_at=kill_at,
-        ),
-        telemetry=telemetry,
-        metrics=cluster_kwargs.get("metrics"),
-    )
-
-
 @dataclass
 class TelemetrySummary:
     """What the live plane saw over one serving session."""
@@ -548,7 +518,8 @@ class TelemetrySummary:
     scrapes: dict = field(default_factory=dict)
     #: Snapshots the sampler took.
     samples: int = 0
-    #: Final :meth:`~repro.obs.slo.SLOMonitor.evaluate` document.
+    #: Final :meth:`~repro.serve.service.ClusterService.slo_status`:
+    #: tenant -> SLO document.
     slo: dict | None = None
     #: Last ``/metrics`` response body (bytes), for export parity checks.
     last_metrics_body: bytes = b""
@@ -606,8 +577,7 @@ async def _scrape_loop(
         await asyncio.sleep(interval)
 
 
-def run_session(make_service, drive, *, telemetry: dict | None = None,
-                metrics=None):
+def run_session(make_service, drive, *, telemetry: dict | None = None):
     """Synchronous convenience: build a service with ``make_service()``,
     start it, run ``await drive(service)`` to completion, stop the
     service, and return ``(report, service)`` for stats inspection.
@@ -615,12 +585,11 @@ def run_session(make_service, drive, *, telemetry: dict | None = None,
     ``telemetry`` (optional) starts the live plane for the session and
     makes the return a 3-tuple ``(report, service, TelemetrySummary)``.
     Keys: ``port`` (0 = ephemeral), ``interval`` (sampler cadence,
-    seconds), ``slos`` (iterable of :class:`~repro.obs.slo.SLOSpec`
-    evaluated over every tenant's latencies into the summary's ``slo``;
-    without it the summary carries the tenants' own SLO documents, as
-    ``/slo`` does), ``scrape`` (self-scrape ``/metrics`` + ``/healthz``
-    during the run, default ``True``).  Requires ``metrics`` — the
-    service's registry — to be a real one.
+    seconds), ``scrape`` (self-scrape ``/metrics`` + ``/healthz`` during
+    the run, default ``True``).  The summary's ``slo`` is the service's
+    final :meth:`~repro.serve.service.ClusterService.slo_status`, as
+    ``/slo`` serves it.
+    Requires the service's registry to be a real one.
     """
 
     async def main():
@@ -630,31 +599,23 @@ def run_session(make_service, drive, *, telemetry: dict | None = None,
                 report = await drive(service)
             return report, service
 
-        from repro.obs.slo import SLOMonitor
         from repro.obs.timeline import TelemetrySampler
         from repro.serve.telemetry import TelemetryServer
 
-        if metrics is None or not getattr(metrics, "enabled", False):
+        if not getattr(service.metrics, "enabled", False):
             raise ValueError(
-                "telemetry requires metrics= a real MetricsRegistry"
+                "telemetry requires a service built with metrics= a real "
+                "MetricsRegistry"
             )
         interval = float(telemetry.get("interval", 0.05))
-        sampler = TelemetrySampler(metrics, interval=interval)
-        slos = tuple(telemetry.get("slos", ()))
-        monitor = SLOMonitor(metrics, slos) if slos else None
+        sampler = TelemetrySampler(service.metrics, interval=interval)
         server = TelemetryServer(
-            service,
-            metrics,
-            port=int(telemetry.get("port", 0)),
-            sampler=sampler,
-            cluster=service,
+            service, port=int(telemetry.get("port", 0)), sampler=sampler
         )
         summary = TelemetrySummary()
         async with service:
             async with server:
                 summary.port = server.port
-                if monitor is not None:
-                    monitor.observe()  # zero baseline for the window delta
                 await sampler.start()
                 scraper = None
                 if telemetry.get("scrape", True):
@@ -676,33 +637,8 @@ def run_session(make_service, drive, *, telemetry: dict | None = None,
                             pass
                     await sampler.stop()
                 sampler.sample()
-                summary.slo = (
-                    monitor.evaluate()
-                    if monitor is not None
-                    else service.slo_status()
-                )
+                summary.slo = service.slo_status()
         summary.samples = sampler.taken
         return report, service, summary
 
     return asyncio.run(main())
-
-
-def run_serving_session(
-    engine,
-    roots,
-    *,
-    clients: int = 4,
-    expected: dict | None = None,
-    telemetry: dict | None = None,
-    **service_kwargs,
-):
-    """:func:`run_session` of the closed-loop workload over ``roots``
-    against a :class:`TraversalService` around ``engine``."""
-    return run_session(
-        lambda: TraversalService(engine, **service_kwargs),
-        lambda service: run_workload(
-            service, roots, clients=clients, expected=expected
-        ),
-        telemetry=telemetry,
-        metrics=service_kwargs.get("metrics"),
-    )

@@ -39,6 +39,8 @@ from repro.serve.workload import (
     WorkloadReport,
     http_get,
     make_diurnal_workload,
+    run_cluster_workload,
+    run_session,
 )
 
 
@@ -403,15 +405,17 @@ class TestFairness:
         counts = workload.per_tenant_counts()
         assert counts["t0"] > 5 * counts["t1"]
 
-        from repro.cluster import run_cluster_session
+        def session(registry, workload):
+            report, _ = run_session(
+                lambda: ClusterService(registry, replicas=2),
+                lambda cluster: run_cluster_workload(
+                    cluster, workload, max_shed_retries=10_000
+                ),
+            )
+            return report
 
-        solo_report, _ = run_cluster_session(
-            build_registry(specs(2)), workload.for_tenant("t1"),
-            replicas=2, max_shed_retries=10_000,
-        )
-        fair_report, _ = run_cluster_session(
-            registry, workload, replicas=2, max_shed_retries=10_000,
-        )
+        solo_report = session(build_registry(specs(2)), workload.for_tenant("t1"))
+        fair_report = session(registry, workload)
         assert fair_report.accounted == workload.num_queries
         solo_p99 = solo_report.latency_percentile(99)
         cold_p99 = fair_report.per_tenant()["t1"].latency_percentile(99)
@@ -562,9 +566,7 @@ class TestClusterTelemetry:
                 registry_pair, replicas=2, metrics=metrics
             ) as cluster:
                 await cluster.submit("t0", 2)
-                server = TelemetryServer(
-                    cluster, metrics, port=0, cluster=cluster
-                )
+                server = TelemetryServer(cluster, port=0)
                 async with server:
                     gets = {}
                     for path in (
@@ -591,24 +593,32 @@ class TestClusterTelemetry:
         assert gets["/slo/nope"][0] == 404
 
     def test_tenant_routes_404_on_single_graph_service(self, registry_pair):
+        import json
+
+        from repro.serve.service import TraversalService
         from repro.serve.telemetry import TelemetryServer
 
-        metrics = MetricsRegistry()
-
         async def scenario():
-            # No cluster= : the single-graph telemetry surface.
-            async with ClusterService(
-                registry_pair, replicas=1, metrics=metrics
-            ) as cluster:
-                server = TelemetryServer(cluster, metrics, port=0)
+            # One graph is one tenant, "default": same routes, one entry.
+            async with TraversalService(
+                registry_pair["t0"].batched, metrics=MetricsRegistry()
+            ) as service:
+                server = TelemetryServer(service, port=0)
                 async with server:
-                    return (
-                        await http_get("127.0.0.1", server.port, "/tenants"),
-                        await http_get("127.0.0.1", server.port, "/slo/t0"),
-                    )
+                    return [
+                        await http_get("127.0.0.1", server.port, path)
+                        for path in ("/tenants", "/slo/default", "/slo/t0")
+                    ]
 
-        tenants, slo = run_async(scenario())
-        assert tenants[0] == 404 and slo[0] == 404
+        tenants, slo, unknown = run_async(scenario())
+        assert tenants[0] == 200
+        doc = json.loads(tenants[2])
+        assert set(doc["tenants"]) == {"default"}
+        assert set(doc["replicas"]) == {"r0"}
+        assert slo[0] == 200
+        assert json.loads(slo[2])["status"] in ("ok", "warn", "page")
+        # Only unknown tenants 404; the graph's own tenant is "default".
+        assert unknown[0] == 404
 
 
 # ----------------------------------------------------------------------

@@ -42,6 +42,8 @@ class TestMalformedFlagsExitTwo:
             ("--tenants", "2", "--replicas", "two"),
             ("--tenants", "2", "--quota", "0"),
             ("--tenants", "2", "--quota", "-5"),
+            ("--clients", "0"),
+            ("--queries", "0"),
         ],
     )
     def test_malformed_value_exits_2_with_usage(self, flags):

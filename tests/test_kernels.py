@@ -1,8 +1,8 @@
 """Unit tests for the component-kernel layer.
 
-Covers the registry contract, the scheduler's loop semantics (skip of
-empty components, §4.2 freshness of commits between sub-iterations,
-direction resolution, hook ordering), and the 1.5D kernel set mounting.
+Covers the scheduler's loop semantics (skip of empty components, §4.2
+freshness of commits between sub-iterations, direction resolution, hook
+ordering) and the 1.5D kernel set and its mounting.
 """
 
 import numpy as np
@@ -12,7 +12,6 @@ from repro.core import BFSConfig, DistributedBFS, partition_graph
 from repro.core.kernels import (
     FIFTEEND_KERNELS,
     ComponentKernel,
-    KernelRegistry,
     LevelSyncScheduler,
     SchedulerHost,
 )
@@ -22,51 +21,6 @@ from repro.graph500.rmat import generate_edges
 from repro.machine.costmodel import CostModel
 from repro.machine.network import MachineSpec
 from repro.runtime.mesh import ProcessMesh
-
-
-class TestKernelRegistry:
-    def test_register_sets_name_and_resolves(self):
-        reg = KernelRegistry()
-
-        @reg.register("X2Y")
-        class XKernel(ComponentKernel):
-            @property
-            def num_arcs(self):
-                return 0
-
-            def execute(self, direction, active, visited, ledger, record):
-                return EMPTY_ACTIVATION
-
-        assert XKernel.name == "X2Y"
-        assert "X2Y" in reg
-        assert reg["X2Y"] is XKernel
-        assert reg.names() == ("X2Y",)
-
-    def test_duplicate_registration_rejected(self):
-        reg = KernelRegistry()
-
-        @reg.register("A")
-        class One(ComponentKernel):
-            @property
-            def num_arcs(self):
-                return 0
-
-            def execute(self, direction, active, visited, ledger, record):
-                return EMPTY_ACTIVATION
-
-        with pytest.raises(ValueError, match="already registered"):
-
-            @reg.register("A")
-            class Two(ComponentKernel):
-                @property
-                def num_arcs(self):
-                    return 0
-
-                def execute(self, direction, active, visited, ledger, record):
-                    return EMPTY_ACTIVATION
-
-    def test_fifteend_registry_covers_all_components(self):
-        assert set(FIFTEEND_KERNELS.names()) == set(COMPONENT_ORDER)
 
 
 class _FakeKernel(ComponentKernel):
@@ -189,6 +143,10 @@ class TestFifteenDMounting:
             machine=machine,
             config=BFSConfig(e_threshold=64, h_threshold=8),
         )
+
+    def test_fifteend_kernels_cover_all_components(self):
+        assert set(FIFTEEND_KERNELS) == set(COMPONENT_ORDER)
+        assert all(cls.name == name for name, cls in FIFTEEND_KERNELS.items())
 
     def test_engine_mounts_kernels_densest_first(self, engine):
         assert tuple(engine.kernels) == COMPONENT_ORDER

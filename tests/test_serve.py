@@ -31,7 +31,7 @@ from repro.serve.bench import amortization_sweep, build_serving_pair
 from repro.serve.msbfs import MultiSourceBFS
 from repro.serve.workload import (
     make_workload_roots,
-    run_serving_session,
+    run_session,
     run_workload,
 )
 
@@ -455,9 +455,13 @@ class TestWorkload:
         expected = {
             int(r): sequential.run(int(r)).parent for r in np.unique(roots)
         }
-        report, service = run_serving_session(
-            batched, roots, clients=8, expected=expected,
-            batch_size=16, batch_window=0.005,
+        report, service = run_session(
+            lambda: TraversalService(
+                batched, batch_size=16, batch_window=0.005
+            ),
+            lambda svc: run_workload(
+                svc.submit, roots, clients=8, expected=expected
+            ),
         )
         assert report.served == report.num_queries
         assert report.failed == 0
@@ -478,7 +482,7 @@ class TestWorkload:
             )
             async with svc:
                 return svc, await run_workload(
-                    svc, roots, clients=16, shed_backoff=0.0005
+                    svc.submit, roots, clients=16, shed_backoff=0.0005
                 )
 
         svc, report = run_async(main())
@@ -492,9 +496,11 @@ class TestWorkload:
         roots = make_workload_roots(
             batched.part.degrees, 32, seed=5, hot_fraction=0.5
         )
-        report, service = run_serving_session(
-            batched, roots, clients=8, batch_size=8,
-            metrics=MetricsRegistry(),
+        report, service = run_session(
+            lambda: TraversalService(
+                batched, batch_size=8, metrics=MetricsRegistry()
+            ),
+            lambda svc: run_workload(svc.submit, roots, clients=8),
         )
         run_report = report_from_serve(
             service, report, context=dict(scale=9)
@@ -572,18 +578,6 @@ class TestServeCLI:
         out = capsys.readouterr().out
         assert rc == 0
         assert "batch replays" in out
-
-    def test_bench_serve_command(self, capsys, tmp_path):
-        json_path = tmp_path / "bench.json"
-        rc = main([
-            "bench-serve", *self.ARGS, "--queries", "32",
-            "--batch-sizes", "1,8", "--queue-depths", "32",
-            "--json", str(json_path),
-        ])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "amortized simulated cost per query" in out
-        assert json_path.exists()
 
     def test_graph500_batch_roots_flag(self, capsys):
         rc = main([

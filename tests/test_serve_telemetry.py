@@ -5,7 +5,7 @@ reconciliation between a timeline's ``total_seconds`` and the
 ``serve_latency_seconds{stage="total"}`` histogram, the bounded latency
 reservoir behind percentile stats, the HTTP endpoint surface
 (``/metrics`` byte-equal to the offline exporter), and the end-to-end
-``run_serving_session`` telemetry mode.
+``run_session`` telemetry mode.
 """
 
 import asyncio
@@ -22,7 +22,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     to_prometheus_text,
 )
-from repro.obs.slo import SLOSpec
 from repro.obs.tracer import Tracer
 from repro.runtime.mesh import ProcessMesh
 from repro.serve import TelemetryServer, TraversalService
@@ -31,7 +30,8 @@ from repro.serve.service import LatencyReservoir
 from repro.serve.workload import (
     http_get,
     make_workload_roots,
-    run_serving_session,
+    run_session,
+    run_workload,
 )
 
 
@@ -268,7 +268,7 @@ class TestTelemetryServer:
                 batched, batch_window=0.0, metrics=metrics,
                 **service_kwargs,
             ) as svc:
-                async with TelemetryServer(svc, metrics) as server:
+                async with TelemetryServer(svc) as server:
                     return await handler(svc, server, metrics)
 
         return run_async(main())
@@ -305,8 +305,10 @@ class TestTelemetryServer:
         status, health, s2, slo, s3, timeline = self._serve(engines, handler)
         assert status == 200 and health["status"] == "ok"
         assert health["pending"] == 0
-        # No monitor/sampler attached in this minimal server.
-        assert s2 == 200 and slo == {"status": "disabled"}
+        # /slo is keyed by tenant; a single graph is the one "default".
+        assert s2 == 200 and set(slo) == {"default"}
+        assert slo["default"]["status"] == "ok"
+        # No sampler attached in this minimal server.
         assert s3 == 200 and timeline == {"status": "disabled"}
 
     def test_trace_endpoint_and_404(self, engines):
@@ -347,40 +349,36 @@ class TestTelemetryServer:
 
 
 # ----------------------------------------------------------------------
-# run_serving_session with the live plane
+# run_session with the live plane
 # ----------------------------------------------------------------------
 
 
-class TestServingSessionTelemetry:
-    def test_back_compat_two_tuple(self, engines):
-        _, batched = engines
-        roots = make_workload_roots(
-            batched.part.degrees, 8, seed=3, hot_fraction=0.5
-        )
-        out = run_serving_session(batched, roots, clients=2)
-        assert len(out) == 2
+def _closed_loop(batched, roots, *, telemetry=None, **service_kwargs):
+    return run_session(
+        lambda: TraversalService(batched, **service_kwargs),
+        lambda svc: run_workload(svc.submit, roots, clients=2),
+        telemetry=telemetry,
+    )
 
+
+class TestServingSessionTelemetry:
     def test_telemetry_three_tuple(self, engines):
         _, batched = engines
-        metrics = MetricsRegistry()
         roots = make_workload_roots(
             batched.part.degrees, 16, seed=3, hot_fraction=0.5
         )
-        report, service, telem = run_serving_session(
-            batched, roots, clients=2, metrics=metrics,
-            telemetry={
-                "port": 0,
-                "interval": 0.02,
-                "slos": [SLOSpec("total", 0.25, 0.99)],
-            },
+        report, service, telem = _closed_loop(
+            batched, roots, metrics=MetricsRegistry(),
+            telemetry={"port": 0, "interval": 0.02},
         )
         assert report.served == 16
         assert telem.port > 0
         assert telem.samples >= 1
         assert telem.scrapes.get("/metrics", 0) >= 1
         assert telem.scrapes.get("/healthz", 0) >= 1
-        assert telem.slo is not None
-        assert telem.slo["slos"][0]["name"] == "total<0.25s@99%"
+        assert set(telem.slo) == {"default"}
+        # The default tenant's own monitor (silver class: 500 ms @ 99%).
+        assert telem.slo["default"]["slos"][0]["name"] == "total<0.5s@99%"
         # The captured /metrics body parses as exposition text.
         assert b"serve_requests" in telem.last_metrics_body
 
@@ -388,6 +386,4 @@ class TestServingSessionTelemetry:
         _, batched = engines
         roots = make_workload_roots(batched.part.degrees, 4, seed=3)
         with pytest.raises(ValueError):
-            run_serving_session(
-                batched, roots, telemetry={"port": 0}
-            )
+            _closed_loop(batched, roots, telemetry={"port": 0})
