@@ -130,6 +130,9 @@ class SchedulerHost:
     num_vertices: int
     #: Undirected input edges, reported on the run result.
     num_input_edges: int
+    #: Per-vertex degree-class codes keying the lane counters (batched
+    #: hosts only; see :class:`~repro.core.lanes.LaneState`).
+    vclass: np.ndarray
 
     def make_ledger(self, tracer: Tracer, metrics=NULL_METRICS) -> TrafficLedger:
         return TrafficLedger(self.cost, tracer=tracer, metrics=metrics)
@@ -192,10 +195,11 @@ class SchedulerHost:
         gets the direction its sequential run would have chosen."""
         raise NotImplementedError
 
-    def record_batch_activation(self, record: IterationRecord, newly) -> None:
-        """Fill ``record.newly_activated`` from the wave's lane words."""
+    def record_batch_activation(self, record: IterationRecord, lanes) -> None:
+        """Fill ``record.newly_activated`` from the wave's commits
+        (``lanes.newly`` and its class counters)."""
 
-    def end_batch_iteration(self, ledger, record, lanes, newly) -> None:
+    def end_batch_iteration(self, ledger, record, lanes) -> None:
         """Wave-end work (eager parent reductions, barriers)."""
 
     def end_batch_run(self, ledger, tracer: Tracer, lanes) -> None:
@@ -627,7 +631,7 @@ class LevelSyncScheduler:
                 raise NotImplementedError(
                     f"kernel {name} does not support batched waves"
                 )
-        lanes = LaneState(host.num_vertices, roots)
+        lanes = LaneState(host.vclass, roots)
         ledger = host.make_ledger(tracer, metrics)
         if faults is not None and faults.enabled:
             ledger.faults = faults
@@ -694,7 +698,6 @@ class LevelSyncScheduler:
         metrics.counter(
             "direction_mode", mode="fresh" if whole is None else "whole"
         ).inc()
-        newly_total = np.zeros(host.num_vertices, dtype=np.uint64)
         dirs_this = {}
         for name, kernel in self.kernels.items():
             if kernel.num_arcs == 0:
@@ -722,8 +725,7 @@ class LevelSyncScheduler:
                     updates = kernel.execute_lanes(
                         direction, group, lanes, ledger, record
                     )
-                    newly = lanes.commit(updates)
-                    newly_total |= newly
+                    lanes.commit(updates)
                     activated = sum(int(d.size) for _, d, _ in updates)
                     csp.add_counter(
                         "edges", record.scanned_arcs.get(name, 0)
@@ -741,9 +743,9 @@ class LevelSyncScheduler:
             metrics.counter(
                 "messages", component=name, direction=record.directions[name]
             ).inc(record.messages.get(name, 0))
-        host.record_batch_activation(record, newly_total)
-        host.end_batch_iteration(ledger, record, lanes, newly_total)
+        host.record_batch_activation(record, lanes)
+        host.end_batch_iteration(ledger, record, lanes)
         records.append(record)
         lane_frontiers.append(per_lane)
         lane_directions.append(dirs_this)
-        lanes.active = newly_total
+        lanes.advance()

@@ -67,13 +67,12 @@ def touched_digest(vertices) -> np.ndarray:
     — which makes digest intersection a *conservative* staleness test.
     """
     v = np.asarray(vertices, dtype=np.int64)
-    digest = np.zeros(_DIGEST_WORDS, dtype=np.uint64)
+    hit = np.zeros(_DIGEST_BITS, dtype=bool)
     if v.size:
-        bits = mix64(v.astype(np.uint64)) % np.uint64(_DIGEST_BITS)
-        np.bitwise_or.at(
-            digest, bits >> np.uint64(6), np.uint64(1) << (bits & np.uint64(63))
-        )
-    return digest
+        hit[mix64(v.astype(np.uint64)) % np.uint64(_DIGEST_BITS)] = True
+    # Bit ``b`` of word ``w`` is ``hit[64 * w + b]``: little-endian bit
+    # order within each byte, little-endian bytes within each word.
+    return np.packbits(hit, bitorder="little").view("<u8").astype(np.uint64)
 
 
 def _digests_intersect(a: np.ndarray, b: np.ndarray) -> bool:

@@ -49,12 +49,14 @@ from repro.core.lanes import (
     LaneClassState,
     iter_lanes,
     lane_bit,
+    lanes_mask,
 )
 from repro.core.metrics import BFSRunResult, IterationRecord
 from repro.core.partition import (
     COMPONENT_CLASSES,
     NODE_LOCAL_COMPONENTS,
     PartitionedGraph,
+    VertexClass,
 )
 from repro.core.subgraphs import COMPONENT_ORDER
 from repro.machine.network import MachineSpec
@@ -207,8 +209,9 @@ class MultiSourceBFS(SchedulerHost):
         self.scheduler = LevelSyncScheduler(
             self, self.kernels, tracer=tracer, metrics=metrics
         )
-        self.lane_class_state = LaneClassState(self.ctx.masks)
+        self.lane_class_state = LaneClassState()
 
+        self.vclass = part.vclass
         self.num_vertices = part.num_vertices
         self.num_input_edges = part.total_arcs // 2
 
@@ -274,8 +277,9 @@ class MultiSourceBFS(SchedulerHost):
         return push_mask, pull_mask
 
     def batch_component_directions(self, name, lanes):
-        # Fresh per-lane ratios (§4.2): the integer population counts and
-        # float comparisons match each lane's sequential decision exactly.
+        # Fresh per-lane ratios (§4.2) from the counters kept at commit:
+        # the integer population counts and float comparisons match each
+        # lane's sequential decision exactly.
         ratios = self.lane_class_state.measure(lanes)
         src_cls, dst_cls = COMPONENT_CLASSES[name]
         active_src = ratios[src_cls][0]
@@ -284,24 +288,17 @@ class MultiSourceBFS(SchedulerHost):
             pull = active_src > self.config.local_pull_threshold
         else:
             pull = unvisited_dst < active_src * self.config.cross_pull_bias
-        push_mask = np.uint64(0)
-        pull_mask = np.uint64(0)
-        for lane in iter_lanes(lanes.active_lane_mask):
-            if pull[lane]:
-                pull_mask |= lane_bit(lane)
-            else:
-                push_mask |= lane_bit(lane)
-        return push_mask, pull_mask
+        live = lanes.frontier_sizes() > 0
+        return lanes_mask(live & ~pull), lanes_mask(live & pull)
 
-    def record_batch_activation(self, record: IterationRecord, newly) -> None:
+    def record_batch_activation(self, record: IterationRecord, lanes) -> None:
         # (vertex, lane) activation pairs per class — the batch analogue
         # of the sequential per-class counts.
+        newly = lanes.newly_counts.sum(axis=1)
         for cls in ("E", "H", "L"):
-            record.newly_activated[cls] = int(
-                np.bitwise_count(newly[self.ctx.masks[cls]]).sum()
-            )
+            record.newly_activated[cls] = int(newly[getattr(VertexClass, cls)])
 
-    def end_batch_iteration(self, ledger, record, lanes, newly) -> None:
+    def end_batch_iteration(self, ledger, record, lanes) -> None:
         if not self.config.delayed_reduction:
             self.ctx.charge_parent_reduction(ledger, lanes.num_lanes)
 

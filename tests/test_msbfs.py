@@ -3,7 +3,9 @@
 The serving contract under test: every lane of a batch is bit-identical
 to a sequential :class:`DistributedBFS` run of the same root under the
 same config, while the batch as a whole charges strictly less simulated
-traffic than the sequential runs combined.
+traffic than the sequential runs combined.  The per-lane class
+counters that drive the direction heuristics are checked against a
+from-scratch rescan of the lane words at every sub-iteration.
 """
 
 import numpy as np
@@ -19,8 +21,9 @@ from repro.core.lanes import (
     all_lanes_mask,
     iter_lanes,
     lane_bit,
-    lane_population,
+    lanes_mask,
 )
+from repro.core.partition import VertexClass
 from repro.graph500.driver import run_graph500, sample_roots
 from repro.graph500.reference import bfs_levels_from_parents, serial_bfs
 from repro.graph500.rmat import generate_edges
@@ -39,6 +42,104 @@ from repro.serve.msbfs import (
 from helpers import random_edge_list
 
 GOLDEN = dict(scale=10, rows=2, cols=2, seed=7, e_thr=128, h_thr=16)
+
+
+def lane_population(bits: np.ndarray, num_lanes: int = MAX_LANES) -> np.ndarray:
+    """Per-lane set-bit counts of a lane-word array, by rescan — the
+    oracle the lane state's class counters are checked against."""
+    if bits.size == 0:
+        return np.zeros(num_lanes, dtype=np.int64)
+    as_bytes = bits.view(np.uint8).reshape(bits.size, 8)
+    if not np.little_endian:  # pragma: no cover - big-endian hosts
+        as_bytes = as_bytes[:, ::-1]
+    cols = np.unpackbits(as_bytes, axis=1, bitorder="little")
+    return cols.sum(axis=0, dtype=np.int64)[:num_lanes]
+
+
+def rescan_ratios(lanes, masks) -> dict:
+    """Per-lane ``(active_ratio, unvisited_ratio)`` per class, rescanned
+    from the lane words of every vertex of the class."""
+    out = {}
+    for name, mask in masks.items():
+        idx = np.flatnonzero(mask)
+        if idx.size == 0:
+            zero = np.zeros(lanes.num_lanes, dtype=np.float64)
+            out[name] = (zero, zero)
+            continue
+        act = lane_population(lanes.active[idx], lanes.num_lanes)
+        unvis = lane_population(
+            ~lanes.visited[idx] & all_lanes_mask(lanes.num_lanes),
+            lanes.num_lanes,
+        )
+        out[name] = (
+            act.astype(np.float64) / idx.size,
+            unvis.astype(np.float64) / idx.size,
+        )
+    return out
+
+
+class RescanCheckedMSBFS(MultiSourceBFS):
+    """Asserts at every wave start, before every component and at every
+    wave end that the counter-derived lane views equal a rescan."""
+
+    checks = 0
+
+    def check_counters(self, lanes) -> None:
+        masks = self.ctx.masks
+        got = self.lane_class_state.measure(lanes)
+        want = rescan_ratios(lanes, masks)
+        assert got.keys() == want.keys()
+        for name in want:
+            assert np.array_equal(got[name][0], want[name][0]), name
+            assert np.array_equal(got[name][1], want[name][1]), name
+        sizes = lane_population(lanes.active, lanes.num_lanes)
+        assert np.array_equal(lanes.frontier_sizes(), sizes)
+        assert lanes.active_lane_mask == np.bitwise_or.reduce(lanes.active)
+        for cls in ("E", "H", "L"):
+            code = getattr(VertexClass, cls)
+            assert np.array_equal(
+                lanes.newly_counts[code],
+                lane_population(lanes.newly[masks[cls]], lanes.num_lanes),
+            ), cls
+        self.checks += 1
+
+    def begin_batch_iteration(self, ledger, lanes) -> None:
+        self.check_counters(lanes)
+        super().begin_batch_iteration(ledger, lanes)
+
+    def batch_component_directions(self, name, lanes):
+        self.check_counters(lanes)
+        return super().batch_component_directions(name, lanes)
+
+    def record_batch_activation(self, record, lanes) -> None:
+        super().record_batch_activation(record, lanes)
+        for cls in ("E", "H", "L"):
+            newly = lanes.newly[self.ctx.masks[cls]]
+            assert record.newly_activated[cls] == int(
+                np.bitwise_count(newly).sum()
+            ), cls
+
+    def end_batch_iteration(self, ledger, record, lanes) -> None:
+        self.check_counters(lanes)
+        super().end_batch_iteration(ledger, record, lanes)
+
+
+def class_spanning_roots(part, num_lanes, seed) -> np.ndarray:
+    """``num_lanes`` distinct roots led by a root of each degree class
+    (E first) and an isolated root, then filled by the driver's sampler."""
+    degrees = part.degrees
+    lead = []
+    for cls in ("E", "H", "L"):
+        code = getattr(VertexClass, cls)
+        members = np.flatnonzero((part.vclass == code) & (degrees > 0))
+        if members.size:
+            lead.append(int(members[0]))
+    isolated = np.flatnonzero(degrees == 0)
+    assert isolated.size, "the graph should have an isolated vertex"
+    lead.insert(1, int(isolated[0]))
+    fill = sample_roots(degrees, MAX_LANES, rng=np.random.default_rng(seed))
+    roots = lead + [int(r) for r in fill if int(r) not in lead]
+    return np.array(roots[:num_lanes], dtype=np.int64)
 
 
 def build_pair(
@@ -90,6 +191,12 @@ class TestLanePrimitives:
         assert list(iter_lanes(mask)) == [0, 5, 63]
         assert list(iter_lanes(np.uint64(0))) == []
 
+    def test_lanes_mask(self):
+        sel = np.zeros(64, dtype=bool)
+        sel[[0, 5, 63]] = True
+        assert lanes_mask(sel) == lane_bit(0) | lane_bit(5) | lane_bit(63)
+        assert lanes_mask(np.zeros(3, dtype=bool)) == np.uint64(0)
+
     def test_lane_population_matches_per_lane_counts(self):
         rng = np.random.default_rng(3)
         bits = rng.integers(0, 2**63, size=100, dtype=np.uint64)
@@ -99,14 +206,34 @@ class TestLanePrimitives:
             assert pop[lane] == expect
 
     def test_lane_state_validates_roots(self):
+        vclass = np.zeros(100, dtype=np.int8)
         with pytest.raises(ValueError):
-            LaneState(np.array([], dtype=np.int64), 16)
+            LaneState(vclass, np.array([], dtype=np.int64))
         with pytest.raises(ValueError):
-            LaneState(np.arange(65), 100)
+            LaneState(vclass, np.arange(65))
         with pytest.raises(ValueError):
-            LaneState(np.array([1, 1]), 16)  # duplicates
+            LaneState(vclass, np.array([1, 1]))  # duplicates
         with pytest.raises(ValueError):
-            LaneState(np.array([16]), 16)  # out of range
+            LaneState(vclass, np.array([100]))  # out of range
+
+    def test_counters_seeded_from_roots(self):
+        vclass = np.array([0, 1, 2, 2, 0, 1], dtype=np.int8)
+        lanes = LaneState(vclass, np.array([2, 0, 5]))
+        assert np.array_equal(lanes.class_sizes, [2, 2, 2])
+        assert np.array_equal(
+            lanes.frontier_counts, [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+        )
+        assert np.array_equal(
+            lanes.unvisited_counts, [[2, 1, 2], [2, 2, 1], [1, 2, 2]]
+        )
+        assert np.array_equal(lanes.frontier_sizes(), [1, 1, 1])
+        lanes.commit([(0, np.array([3, 4]), np.array([2, 2]))])
+        assert np.array_equal(lanes.newly_counts[:, 0], [1, 0, 1])
+        assert np.array_equal(lanes.unvisited_counts[:, 0], [1, 2, 0])
+        lanes.advance()
+        assert np.array_equal(lanes.frontier_sizes(), [2, 0, 0])
+        assert lanes.active_lane_mask == lane_bit(0)
+        assert not lanes.newly.any() and not lanes.newly_counts.any()
 
 
 class TestBitIdentity:
@@ -235,6 +362,48 @@ class TestBitIdentity:
                 graph, root, batch.lane_parent(lane)
             )
             assert np.array_equal(ref_levels, got_levels)
+
+
+class TestCounterOracle:
+    """The lane counters equal a from-scratch rescan after every
+    sub-iteration, and the checked batch stays bit-identical."""
+
+    @staticmethod
+    def run_checked(cfg, scale, num_lanes):
+        sequential, _, *_ = build_pair(scale=scale, **cfg)
+        config = sequential.config
+        checked = RescanCheckedMSBFS(
+            sequential.part, machine=sequential.machine, config=config
+        )
+        roots = class_spanning_roots(checked.part, num_lanes, seed=3)
+        batch = checked.run_batch(roots)
+        assert checked.checks > batch.num_waves
+        for lane, root in enumerate(roots):
+            assert np.array_equal(
+                batch.lane_parent(lane), sequential.run(int(root)).parent
+            ), f"lane {lane} (root {root}) diverged under {cfg}"
+        return checked.part, roots
+
+    @pytest.mark.parametrize("num_lanes", [1, 11, 64])
+    def test_golden_config(self, num_lanes):
+        part, roots = self.run_checked({}, GOLDEN["scale"], num_lanes)
+        if num_lanes > 1:
+            classes = set(part.vclass[roots[part.degrees[roots] > 0]])
+            assert classes == {VertexClass.E, VertexClass.H, VertexClass.L}
+
+    @pytest.mark.parametrize("num_lanes", [1, 11, 64])
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            dict(sub_iteration_direction=False),
+            dict(delayed_reduction=True),
+            dict(local_pull_threshold=0.01),
+            dict(cross_pull_bias=8.0),
+        ],
+        ids=["whole-iteration", "delayed-reduction", "pull-happy", "biased"],
+    )
+    def test_config_sweep(self, cfg, num_lanes):
+        self.run_checked(cfg, 9, num_lanes)
 
 
 class TestAmortization:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import BFSConfig
+from repro.core.partition import mix64
 from repro.dynamic.repair import IncrementalGraph
 from repro.dynamic.updates import UpdateBatch
 from repro.machine.network import MachineSpec
@@ -61,6 +62,20 @@ class TestTouchedDigest:
     def test_deterministic(self):
         v = np.array([5, 17, 23])
         assert np.array_equal(touched_digest(v), touched_digest(v[::-1]))
+
+    @pytest.mark.parametrize("size", [0, 1, 10, 5000, 8000])
+    def test_matches_bitwise_or_reference(self, size):
+        # The packed-bool digest sets exactly the words and bits of the
+        # per-vertex ``bitwise_or.at`` scatter it replaced.
+        v = np.random.default_rng(size).choice(1 << 20, size, replace=False)
+        want = np.zeros(16, dtype=np.uint64)
+        bits = mix64(v.astype(np.uint64)) % np.uint64(1024)
+        np.bitwise_or.at(
+            want, bits >> np.uint64(6), np.uint64(1) << (bits & np.uint64(63))
+        )
+        got = touched_digest(v)
+        assert got.dtype == np.uint64 and got.shape == (16,)
+        assert np.array_equal(got, want)
 
 
 class TestPartialInvalidation:
